@@ -14,13 +14,40 @@ the committed perf snapshot with::
     PYTHONPATH=src python -m pytest benchmarks/test_kernels.py -m bench \
         --benchmark-json=BENCH_kernels.json -q
 
-``BENCH_kernels_seed.json`` preserves the seed-commit numbers the current
-snapshot's ``seed_baseline`` section is computed against.
+``BENCH_kernels_seed.json`` keeps the seed commit's kernel numbers; compare
+a snapshot against it with ``check_regression.py --baseline``.
+
+Snapshots hold summary statistics only: the ``pytest_benchmark_update_json``
+hook below drops the per-round ``stats.data`` arrays and trims
+``machine_info`` to a short fingerprint before the file is written.
+``check_regression.py`` reads only ``stats.median`` and numeric
+``extra_info``, so nothing it gates on is lost.
 """
 
 import os
 
 import pytest
+
+#: ``machine_info`` keys a snapshot keeps; enough to tell two machines apart.
+FINGERPRINT_KEYS = ("node", "machine", "system", "release",
+                    "python_implementation", "python_version")
+#: The ``machine_info["cpu"]`` keys a snapshot keeps.
+FINGERPRINT_CPU_KEYS = ("brand_raw", "arch", "count")
+
+
+def slim_benchmark_json(output_json: dict) -> None:
+    """Drop per-round ``stats.data`` and trim ``machine_info``, in place."""
+    for bench in output_json.get("benchmarks", ()):
+        bench.get("stats", {}).pop("data", None)
+    info = output_json.get("machine_info") or {}
+    cpu = info.get("cpu") or {}
+    slim = {key: info[key] for key in FINGERPRINT_KEYS if key in info}
+    slim["cpu"] = {key: cpu[key] for key in FINGERPRINT_CPU_KEYS if key in cpu}
+    output_json["machine_info"] = slim
+
+
+def pytest_benchmark_update_json(config, benchmarks, output_json):
+    slim_benchmark_json(output_json)
 
 
 @pytest.fixture(scope="session")

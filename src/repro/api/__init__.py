@@ -11,7 +11,7 @@ The programmatic surface of the evaluation harness:
   ``run_suite(platforms=[...])`` without touching
   ``repro/experiments/common.py``.
 * :class:`SuiteSpec` / :class:`RunRequest` — JSON-serialisable job objects
-  (the process-pool payload, and the seam for a multi-host runner).
+  (the process-pool payload, and the solve daemon's request body).
 * :mod:`repro.api.faults` — structured :class:`RunFailure` records and the
   deterministic fault-injection plans (``crash``/``hang``/``fail`` tokens)
   that exercise the run engine's recovery paths repeatably.

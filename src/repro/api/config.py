@@ -30,7 +30,6 @@ Resolution order, strongest first:
 | ``REPRO_REQUEST_RETRIES`` | ``request_retries`` | extra attempts on error |
 | ``REPRO_RETRY_BACKOFF``   | ``retry_backoff``   | backoff base seconds    |
 | ``REPRO_RUN_LEDGER``      | ``ledger``       | run-ledger root dir        |
-| ``REPRO_SERVICE_STORE``   | ``service_store``   | remote store base URL   |
 | ``REPRO_SERVICE_BATCH_WINDOW`` | ``service_batch_window`` | coalescing window (s) |
 | ``REPRO_SERVICE_BATCH_MAX`` | ``service_batch_max`` | max coalesced batch   |
 | ``REPRO_SERVICE_COALESCE=0`` | ``service_coalesce`` | disable coalescing   |
@@ -178,11 +177,6 @@ class RunConfig:
     #: Deterministic exponential backoff base: retry ``n`` sleeps
     #: ``retry_backoff * 2**(n-1)`` seconds (0 = retry immediately).
     retry_backoff: float = 0.0
-    #: Base URL of a solve-service daemon whose asset store backs this
-    #: host's local store cache (``http://host:port``; ``None`` = local
-    #: store only).  On a local miss the entry is fetched over the wire
-    #: and installed; freshly built entries are published back.
-    service_store: Optional[str] = None
     #: Coalescing window of the service daemon, in seconds: a batch is
     #: dispatched when this much time passed since its first request
     #: (0 = dispatch immediately, i.e. no time-based coalescing).
@@ -236,13 +230,6 @@ class RunConfig:
                 f"retry_backoff must be non-negative and finite, got "
                 f"{self.retry_backoff!r}")
         object.__setattr__(self, "retry_backoff", backoff)
-        if self.service_store is not None:
-            url = str(self.service_store).rstrip("/")
-            if not url.startswith(("http://", "https://")):
-                raise ValueError(
-                    f"service_store must be an http(s) base URL, got "
-                    f"{self.service_store!r}")
-            object.__setattr__(self, "service_store", url)
         window = float(self.service_batch_window)
         if not (window >= 0 and window != float("inf")):
             raise ValueError(
@@ -295,7 +282,6 @@ class RunConfig:
         fields["retry_backoff"] = (
             check_env_nonnegative_float("REPRO_RETRY_BACKOFF", raw)
             if raw else 0.0)
-        fields["service_store"] = env.get("REPRO_SERVICE_STORE") or None
         raw = env.get("REPRO_SERVICE_BATCH_WINDOW")
         fields["service_batch_window"] = (
             check_env_nonnegative_float("REPRO_SERVICE_BATCH_WINDOW", raw)

@@ -4,11 +4,11 @@ A :class:`SuiteSpec` names *what* to run — solver, scale, platform subset,
 matrix subset — and a :class:`RunRequest` is its per-matrix unit of work.
 Both are frozen dataclasses of primitives with lossless
 ``to_json``/``from_json`` round-trips, so a run description can cross a
-process or host boundary as data: the suite runner's process-pool payload
-*is* a :class:`RunRequest`, and a future multi-host runner ships the same
-object over the wire.  Runtime concerns (worker counts, store paths) stay
+process boundary as data: the suite runner's process-pool payload *is* a
+:class:`RunRequest`, and ``solve --remote`` posts the same object to the
+solve daemon as JSON.  Runtime concerns (worker counts, store paths) stay
 out of these objects — that is :class:`repro.api.config.RunConfig`'s job,
-because the right store path on one host is the wrong one on another.
+because the right store path for one process is the wrong one for another.
 """
 
 from __future__ import annotations
@@ -119,9 +119,9 @@ class RunRequest:
     """One matrix run: the picklable/serialisable unit of distribution.
 
     Unlike :class:`SuiteSpec`, the scale is concrete (a request must mean
-    the same work on every host) and the sid is singular.  This object is
-    exactly what crosses the process-pool pickle boundary, and the seam a
-    multi-host runner would ship.
+    the same work in every process) and the sid is singular.  This object
+    is exactly what crosses the process-pool pickle boundary, and what the
+    solve daemon accepts as a ``"RunRequest"`` payload.
 
     ``criterion`` pins the convergence criterion the solve must use;
     ``None`` defers to the executing process's active config.  Suite and

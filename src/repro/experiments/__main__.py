@@ -592,8 +592,7 @@ def _api_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--executor", choices=["thread", "process"],
                             default=None, help="engine executor")
         parser.add_argument("--store", default=None, metavar="PATH",
-                            help="asset-store root served over the remote "
-                                 "store protocol (default: "
+                            help="the daemon's asset-store root (default: "
                                  "REPRO_ASSET_STORE)")
         parser.add_argument("--batch-window", dest="batch_window",
                             type=float, default=None, metavar="SECS",

@@ -76,7 +76,6 @@ import signal
 import threading
 import time
 from collections import OrderedDict, deque
-from collections.abc import Mapping
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -104,6 +103,7 @@ from repro.api.registry import (
     PLATFORM_REGISTRY,
     SOLVER_REGISTRY,
     PlatformContext,
+    SolverSpec,
     resolve_platforms,
 )
 from repro.api.specs import RunRequest, SuiteSpec
@@ -123,8 +123,6 @@ from repro.sparse.blocked import BlockedMatrix
 from repro.sparse.gallery.suite import PAPER_SUITE, resolve_scale, suite_ids
 
 __all__ = [
-    "PLATFORMS",
-    "SOLVERS",
     "ExecutionStats",
     "MatrixRun",
     "SuiteResult",
@@ -141,31 +139,6 @@ __all__ = [
     "clear_run_caches",
     "geometric_mean",
 ]
-
-#: The default sweep grid (back-compat alias; the registry is the source of
-#: truth and holds more platforms than these four).
-PLATFORMS = DEFAULT_PLATFORMS
-
-
-class _SolverCallables(Mapping):
-    """Live name → callable view of the solver registry.
-
-    Keeps the historical ``SOLVERS`` dict API (``SOLVERS["cg"]``,
-    ``sorted(SOLVERS)``) while the registry remains the single source of
-    truth — solvers registered after import show up here immediately.
-    """
-
-    def __getitem__(self, name: str) -> Callable[..., SolverResult]:
-        return SOLVER_REGISTRY.get(name).solve
-
-    def __iter__(self):
-        return iter(SOLVER_REGISTRY.names())
-
-    def __len__(self) -> int:
-        return len(SOLVER_REGISTRY)
-
-
-SOLVERS: Mapping = _SolverCallables()
 
 #: In-process cache of full-suite runs, keyed (scale, solver).
 _CACHE: Dict[tuple, Dict[int, "MatrixRun"]] = {}
@@ -734,6 +707,20 @@ class SuiteResult(dict):
     stats: Optional[ExecutionStats] = None
 
 
+def _platform_context(sid: int, scale: str, sspec: SolverSpec,
+                      assets: "MatrixAssets",
+                      feinberg_spec: FeinbergSpec) -> PlatformContext:
+    """The context a platform's operator factory and timing model read for
+    one (matrix, solver) pair."""
+    return PlatformContext(
+        sid=sid, scale=scale, solver=sspec.name, n_rows=assets.A.shape[0],
+        nnz=int(assets.A.nnz), n_blocks=assets.blocked.n_blocks,
+        spec=assets.spec, feinberg_spec=feinberg_spec,
+        spmvs_per_iteration=sspec.spmvs_per_iteration,
+        vector_ops_per_iteration=sspec.vector_ops_per_iteration,
+        gpu_vector_kernels_per_iteration=sspec.gpu_vector_kernels)
+
+
 def run_matrix(sid: int, solver: str, scale: Optional[str] = None,
                criterion: Optional[ConvergenceCriterion] = None,
                feinberg_spec: FeinbergSpec = FeinbergSpec(),
@@ -770,12 +757,7 @@ def run_matrix(sid: int, solver: str, scale: Optional[str] = None,
 
     run = MatrixRun(sid=sid, name=info.name, solver=solver, n_rows=n,
                     nnz=int(assets.A.nnz), n_blocks=assets.blocked.n_blocks)
-    ctx = PlatformContext(
-        sid=sid, scale=scale, solver=solver, n_rows=n, nnz=run.nnz,
-        n_blocks=run.n_blocks, spec=assets.spec, feinberg_spec=feinberg_spec,
-        spmvs_per_iteration=sspec.spmvs_per_iteration,
-        vector_ops_per_iteration=sspec.vector_ops_per_iteration,
-        gpu_vector_kernels_per_iteration=sspec.gpu_vector_kernels)
+    ctx = _platform_context(sid, scale, sspec, assets, feinberg_spec)
 
     for name in order:
         pspec = PLATFORM_REGISTRY.get(name)
@@ -844,14 +826,7 @@ def platform_operator(sid: int, scale: Optional[str] = None,
             f"platform {platform!r} reuses {pspec.results_from!r}'s results "
             f"and has no operator of its own")
     assets = matrix_assets(sid, scale)
-    n = assets.A.shape[0]
-    ctx = PlatformContext(
-        sid=sid, scale=scale, solver=solver, n_rows=n,
-        nnz=int(assets.A.nnz), n_blocks=assets.blocked.n_blocks,
-        spec=assets.spec, feinberg_spec=feinberg_spec,
-        spmvs_per_iteration=sspec.spmvs_per_iteration,
-        vector_ops_per_iteration=sspec.vector_ops_per_iteration,
-        gpu_vector_kernels_per_iteration=sspec.gpu_vector_kernels)
+    ctx = _platform_context(sid, scale, sspec, assets, feinberg_spec)
     return assets, pspec.operator(assets, ctx)
 
 
@@ -888,8 +863,8 @@ def _suite_task(request: RunRequest, attempt: int = 1,
     attach when a store is configured (the parent pre-materialised every
     entry), a local build otherwise — and later tasks in the same worker
     reuse them.  The returned :class:`MatrixRun` carries only plain
-    arrays/floats, and the request itself is the exact JSON-serialisable
-    object a multi-host runner would ship instead of pickling.
+    arrays/floats, and the request itself is a JSON-serialisable
+    :class:`RunRequest`, the same object the solve daemon accepts.
 
     ``fault_tokens`` carries the parent's active fault plan as plain
     strings — the worker materialises them from its own kind registry
@@ -1652,10 +1627,10 @@ def run_sweep(spec: SweepSpec, use_cache: bool = True,
     if journal is not None:
         from repro.experiments.journal import (
             SweepJournal,
-            resolve_journal_path,
+            default_journal_path,
         )
 
-        path = (resolve_journal_path(spec, scale, crit)
+        path = (default_journal_path(spec, scale, crit)
                 if journal == "auto" else journal)
         jr = SweepJournal(path)
         if resume:

@@ -30,10 +30,7 @@ path) lives under the asset-store root, keyed by a digest of everything
 the header pins — spec, resolved scale, criterion:
 ``$REPRO_ASSET_STORE/journals/sweep-<digest>.jsonl`` — so the same sweep
 always resumes from the same file and two sweeps of the same grid at
-different scales or tolerances get *different* files.  Journals written
-before the digest included scale/criterion are still found:
-:func:`resolve_journal_path` falls back to the old-digest path when its
-header matches the sweep being run.
+different scales or tolerances get *different* files.
 """
 
 from __future__ import annotations
@@ -50,8 +47,7 @@ from repro.experiments import store
 from repro.experiments.ledger import JsonlLog
 from repro.solvers.base import ConvergenceCriterion
 
-__all__ = ["JOURNAL_VERSION", "SweepJournal", "default_journal_path",
-           "resolve_journal_path"]
+__all__ = ["JOURNAL_VERSION", "SweepJournal", "default_journal_path"]
 
 JOURNAL_VERSION = 1
 
@@ -66,21 +62,6 @@ def _journal_root() -> Path:
     return Path(root) / "journals"
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _resolve_pins(spec: SweepSpec, scale: Optional[str],
-                  criterion: Optional[ConvergenceCriterion]):
-    """The (scale, criterion) the journal header will pin for ``spec``."""
-    from repro.sparse.gallery.suite import resolve_scale
-
-    scale = resolve_scale(spec.scale if scale is None else scale)
-    if criterion is None:
-        criterion = api_config.active().effective_criterion
-    return scale, criterion
-
-
 def default_journal_path(spec: SweepSpec, scale: Optional[str] = None,
                          criterion: Optional[ConvergenceCriterion] = None,
                          ) -> Path:
@@ -93,36 +74,16 @@ def default_journal_path(spec: SweepSpec, scale: Optional[str] = None,
     the spec's scale (resolved against the active config) and the active
     config's criterion, exactly as ``run_sweep`` resolves them.
     """
-    scale, criterion = _resolve_pins(spec, scale, criterion)
+    from repro.sparse.gallery.suite import resolve_scale
+
+    scale = resolve_scale(spec.scale if scale is None else scale)
+    if criterion is None:
+        criterion = api_config.active().effective_criterion
     payload = json.dumps(
         {"spec": spec.to_dict(), "scale": scale,
          "criterion": asdict(criterion)}, sort_keys=True)
-    return _journal_root() / f"sweep-{_digest(payload)}.jsonl"
-
-
-def _legacy_journal_path(spec: SweepSpec) -> Path:
-    """The pre-fix path whose digest covered only the spec."""
-    return _journal_root() / f"sweep-{_digest(spec.to_json())}.jsonl"
-
-
-def resolve_journal_path(spec: SweepSpec, scale: Optional[str] = None,
-                         criterion: Optional[ConvergenceCriterion] = None,
-                         ) -> Path:
-    """The path an ``"auto"`` journal uses for ``spec``.
-
-    Prefers :func:`default_journal_path`; when that file does not exist
-    yet but an old-digest file does *and* its header pins exactly this
-    sweep, the old file is returned so journals written before the
-    digest fix keep resuming.
-    """
-    scale, criterion = _resolve_pins(spec, scale, criterion)
-    path = default_journal_path(spec, scale, criterion)
-    if not path.exists():
-        legacy = _legacy_journal_path(spec)
-        if legacy.exists() and SweepJournal(legacy).matches(
-                spec, scale, criterion):
-            return legacy
-    return path
+    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _journal_root() / f"sweep-{digest}.jsonl"
 
 
 class SweepJournal:

@@ -312,33 +312,7 @@ def save_entry(sid: int, scale: str, A, b: np.ndarray,
             shutil.rmtree(tmp, ignore_errors=True)
         raise
     _bump("saves")
-    _publish_remote(sid, scale, final)
     return final
-
-
-def _publish_remote(sid: int, scale: str, path: Path) -> None:
-    """Best-effort push of a freshly built entry to the configured remote
-    store (``REPRO_SERVICE_STORE``), so the next cold host fetches instead
-    of rebuilding.  No-op without a remote; never raises."""
-    url = config.active().service_store
-    if not url:
-        return
-    from repro.service import remote_store
-
-    remote_store.publish_entry(url, sid, scale, path)
-
-
-def _fetch_remote(sid: int, scale: str, root: Path) -> bool:
-    """On a local miss, try the configured remote store: fetch the
-    CRC-framed entry and install it under the local root (the per-host
-    cache), then let the ordinary load path validate it.  ``False`` on
-    remote miss or any transport/framing error — never raises."""
-    url = config.active().service_store
-    if not url:
-        return False
-    from repro.service import remote_store
-
-    return remote_store.fetch_entry(url, sid, scale, root)
 
 
 # ----------------------------------------------------------------------
@@ -413,9 +387,8 @@ def load_entry(sid: int, scale: str, mmap: bool = True,
         return None
     path = entry_path(sid, scale, root)
     if not (path / "meta.json").is_file():
-        if not _fetch_remote(sid, scale, root):
-            _bump("misses")
-            return None
+        _bump("misses")
+        return None
     try:
         try:
             with open(path / "meta.json") as fh:

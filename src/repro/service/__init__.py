@@ -8,28 +8,25 @@ surface (stdlib ``http.server``/``http.client`` only — no new deps):
   (scheduled onto the persistent process pool through the graph scheduler,
   inheriting retries/timeouts/pool recovery/dependency-skip) or a
   :class:`~repro.service.jobs.VectorJob` (a single right-hand side, the
-  many-users fast path).  ``GET /v1/stats`` surfaces the service counters;
-  ``GET``/``PUT /v1/store/<sid>/<scale>`` is the remote asset-store
-  protocol.
+  many-users fast path).  ``GET /v1/stats`` surfaces the service counters.
+  The daemon serves solves only; asset-store entries stay local to the
+  host that built them.
 - :class:`~repro.service.coalesce.Coalescer` — groups concurrent same-key
   vector jobs into one lockstep ``matmat`` batch
   (:func:`~repro.solvers.lockstep.solve_lockstep`), bounded by the batch
   window and max batch size, with per-request demux and results
   bit-identical to the per-request serial path.
-- :mod:`~repro.service.wire` — CRC-checked framing of v2 store entries for
-  hosts that don't share a filesystem.
 - :class:`~repro.service.client.ServiceClient` — the client half, reusing
   the ``RunConfig`` retry/backoff/timeout knobs.
 
 Start a daemon with ``python -m repro.experiments serve``; point clients at
-it with ``solve --remote host:port`` or ``REPRO_SERVICE_STORE``.
+it with ``solve --remote host:port``.
 """
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.coalesce import Coalescer, ServiceCounters
 from repro.service.daemon import SolveService
 from repro.service.jobs import VectorJob
-from repro.service.wire import WireError, pack_entry, unpack_entry
 
 __all__ = [
     "Coalescer",
@@ -38,7 +35,4 @@ __all__ = [
     "ServiceError",
     "SolveService",
     "VectorJob",
-    "WireError",
-    "pack_entry",
-    "unpack_entry",
 ]

@@ -71,7 +71,6 @@ class ServiceCounters:
         # enough for stable p50/p95 over recent traffic, flat memory for
         # a long-lived daemon.
         self._latencies: "deque[float]" = deque(maxlen=4096)
-        self.store_requests = 0
 
     def note_enqueued(self, kind: str) -> None:
         with self._lock:
@@ -107,10 +106,6 @@ class ServiceCounters:
             self.latency_max_s = max(self.latency_max_s, seconds)
             self._latencies.append(seconds)
 
-    def note_store_request(self) -> None:
-        with self._lock:
-            self.store_requests += 1
-
     def to_dict(self) -> Dict[str, Any]:
         with self._lock:
             return {
@@ -125,7 +120,6 @@ class ServiceCounters:
                 "engine_batches": self.engine_batches,
                 "queue_depth": self.queue_depth,
                 "max_queue_depth": self.max_queue_depth,
-                "store_requests": self.store_requests,
                 "latency": {
                     "count": self.latency_count,
                     "total_s": round(self.latency_total_s, 6),

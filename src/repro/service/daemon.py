@@ -18,20 +18,17 @@ share one ``POST /v1/solve`` endpoint, distinguished by the payload's
 ``GET /v1/stats`` returns the service counters plus the engine/store
 counter snapshots; ``GET /v1/health`` is the liveness probe;
 ``POST /v1/shutdown`` stops the daemon cleanly after in-flight work.
-``GET``/``PUT /v1/store/<sid>/<scale>`` serve the remote store protocol
-from this daemon's local store root (:mod:`repro.service.wire` framing).
+The daemon serves solves only: its asset store (``serve --store``) is the
+local cache its own engine attaches to, not an endpoint.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
@@ -43,7 +40,6 @@ from repro.api.specs import RunRequest
 from repro.api.sweep import ensure_variant_platforms
 from repro.service.coalesce import Coalescer, ServiceCounters
 from repro.service.jobs import VectorJob
-from repro.service.wire import WireError, pack_entry, unpack_entry
 from repro.solvers.lockstep import LOCKSTEP_SOLVERS, solve_lockstep
 
 __all__ = ["SERVICE_VERSION", "SolveService"]
@@ -263,11 +259,10 @@ class SolveService:
                 })
         return outs
 
-    # -- introspection and the store protocol ----------------------------
+    # -- introspection ---------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
         from repro.experiments import ledger, store
-        from repro.service import remote_store
 
         return {
             "type": "ServiceStats",
@@ -282,49 +277,7 @@ class SolveService:
             "engine": dict(self._engine_totals),
             "ledger": ledger.ledger_stats(),
             "store": store.counters(),
-            "remote_store": remote_store.counters(),
         }
-
-    def store_get(self, sid: int, scale: str) -> Optional[bytes]:
-        """Frame the local entry for the wire; ``None`` = miss (404)."""
-        from repro.experiments import store
-
-        self.counters.note_store_request()
-        root = store.store_root()
-        if root is None:
-            raise LookupError("no asset store configured on this daemon")
-        path = store.entry_path(sid, scale, root)
-        if not (path / "meta.json").is_file():
-            return None
-        try:
-            return pack_entry(path)
-        except WireError:
-            return None  # torn local entry: a miss, the client rebuilds
-
-    def store_put(self, sid: int, scale: str, data: bytes) -> None:
-        """Verify and install a pushed entry (atomic, races are benign)."""
-        from repro.experiments import store
-
-        self.counters.note_store_request()
-        root = store.store_root()
-        if root is None:
-            raise LookupError("no asset store configured on this daemon")
-        final = store.entry_path(sid, scale, root)
-        if (final / "meta.json").is_file():
-            return  # already have it; first writer wins
-        final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(prefix=final.name + ".put-",
-                                    dir=final.parent))
-        try:
-            meta = unpack_entry(data, tmp)
-            if meta.get("sid") != int(sid) or meta.get("scale") != scale:
-                raise WireError("pushed entry is for a different key")
-            os.rename(tmp, final)
-        except WireError:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)  # lost race: fine
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -338,33 +291,32 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- helpers ---------------------------------------------------------
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+    def _send_json(self, status: int, payload: Dict[str, Any],
+                   close: bool = False) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")  # also ends keep-alive
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_bytes(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
-    def _store_key(self, path: str) -> Optional[Tuple[int, str]]:
-        parts = path.strip("/").split("/")
-        if len(parts) != 4 or parts[:2] != ["v1", "store"]:
-            return None
+    def _read_body(self) -> Optional[bytes]:
+        """The whole request body, or ``None`` after a 400 for a negative
+        or non-integer ``Content-Length``.  Such a request has no known
+        end, so the connection closes instead of guessing where the next
+        request starts."""
+        raw = self.headers.get("Content-Length") or "0"
         try:
-            return int(parts[2]), parts[3]
+            length = int(raw)
         except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, {"error": f"bad Content-Length {raw!r}"},
+                            close=True)
             return None
+        return self.rfile.read(length) if length else b""
 
     # -- verbs -----------------------------------------------------------
 
@@ -377,38 +329,15 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/v1/stats":
             self._send_json(200, self.service.stats())
             return
-        key = self._store_key(path)
-        if key is not None:
-            try:
-                blob = self.service.store_get(*key)
-            except LookupError as exc:
-                self._send_json(503, {"error": str(exc)})
-                return
-            if blob is None:
-                self._send_json(404, {"error": "no such store entry"})
-            else:
-                self._send_bytes(200, blob)
-            return
         self._send_json(404, {"error": f"unknown path {path!r}"})
 
-    def do_PUT(self) -> None:  # noqa: N802
-        path = urlsplit(self.path).path
-        key = self._store_key(path)
-        if key is None:
-            self._send_json(404, {"error": f"unknown path {path!r}"})
-            return
-        data = self._read_body()
-        try:
-            self.service.store_put(*key, data)
-        except LookupError as exc:
-            self._send_json(503, {"error": str(exc)})
-            return
-        except WireError as exc:
-            self._send_json(400, {"error": f"bad entry frame: {exc}"})
-            return
-        self._send_json(200, {"ok": True})
-
     def do_POST(self) -> None:  # noqa: N802
+        started = time.monotonic()
+        # Consume the body before routing: a reply that leaves it unread
+        # would have a kept-alive connection parse it as the next request.
+        body = self._read_body()
+        if body is None:
+            return
         path = urlsplit(self.path).path
         if path == "/v1/shutdown":
             self._send_json(200, {"ok": True})
@@ -420,9 +349,8 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/v1/solve":
             self._send_json(404, {"error": f"unknown path {path!r}"})
             return
-        started = time.monotonic()
         try:
-            payload = json.loads(self._read_body().decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._send_json(400, {"error": f"malformed JSON body: {exc}"})
             return

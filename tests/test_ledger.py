@@ -10,13 +10,11 @@ from repro.api import RunConfig
 from repro.api import config as api_config
 from repro.api.specs import RunRequest
 from repro.api.sweep import SweepSpec
-from repro.experiments import common, ledger
+from repro.experiments import ledger
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.common import (MatrixRun, clear_run_caches, run_suite,
                                       run_sweep)
-from repro.experiments.journal import (SweepJournal, _legacy_journal_path,
-                                       default_journal_path,
-                                       resolve_journal_path)
+from repro.experiments.journal import SweepJournal, default_journal_path
 from repro.experiments.ledger import JsonlLog, RunLedger
 from repro.solvers.base import ConvergenceCriterion
 
@@ -182,45 +180,6 @@ class TestJournalDigest:
         assert default_journal_path(spec, "default", crit) != p_test
         assert default_journal_path(
             spec, "test", replace(crit, tol=1e-6)) != p_test
-
-    def test_legacy_digest_file_resumes_when_header_matches(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSET_STORE", str(tmp_path / "assets"))
-        monkeypatch.delenv("REPRO_RUN_LEDGER", raising=False)
-        monkeypatch.delenv("REPRO_SUITE_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_SUITE_EXECUTOR", raising=False)
-        clear_run_caches()
-        spec = self._spec()
-        legacy = _legacy_journal_path(spec)
-        # A journal written under the old spec-only digest.
-        run_sweep(spec, max_workers=1, journal=legacy)
-        assert legacy.exists()
-        assert not default_journal_path(spec).exists()
-        assert resolve_journal_path(spec) == legacy
-        # An "auto" resume replays it completely: zero fresh solves.
-        monkeypatch.setattr(common, "run_matrix",
-                            lambda *a, **kw: pytest.fail("resolved journal "
-                                                         "was not replayed"))
-        resumed = run_sweep(spec, max_workers=1, journal="auto", resume=True)
-        assert resumed.stats.journal_skipped == 3  # 1 baseline + 2 variants
-        assert resumed.stats.requests == 0
-        clear_run_caches()
-
-    def test_legacy_file_with_mismatched_header_is_ignored(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ASSET_STORE", str(tmp_path / "assets"))
-        monkeypatch.delenv("REPRO_RUN_LEDGER", raising=False)
-        monkeypatch.delenv("REPRO_SUITE_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_SUITE_EXECUTOR", raising=False)
-        clear_run_caches()
-        spec = self._spec()
-        legacy = _legacy_journal_path(spec)
-        # The legacy-path file pins a *different* criterion; falling back
-        # to it would hit the header-mismatch refusal.
-        run_sweep(spec, max_workers=1, journal=legacy,
-                  criterion=ConvergenceCriterion(tol=1e-6))
-        assert resolve_journal_path(spec) == default_journal_path(spec)
-        clear_run_caches()
 
 
 class TestRecordRun:

@@ -1,33 +1,29 @@
-"""Tests for the solve service: coalescer, wire protocol, remote store,
-daemon end-to-end.
+"""Tests for the solve service: coalescer, daemon end-to-end, client.
 
 The coalescer tests pin the grouping contract (same-key concurrent jobs
 merge into one batch, mixed keys never merge, ``coalesce=False`` gives
 singleton batches) and the demux contract (positional results, per-batch
-error propagation).  The wire tests pin the CRC framing: a byte-exact
-round trip, and every corruption mode — truncation, payload tamper,
-header tamper, bad magic — surfaces as :class:`WireError`, never as
-silently-wrong arrays.  The daemon tests run a real HTTP server in
+error propagation).  The daemon tests run a real HTTP server in
 process: coalesced vector solves come back bit-identical to the serial
 single-RHS path, engine requests come back as the exact local
-``MatrixRun``, and malformed requests fail alone without poisoning the
-batch they rode in.
+``MatrixRun``, malformed requests fail alone without poisoning the
+batch they rode in, and request bodies are framed correctly on a
+kept-alive connection.
 """
 
+import http.client
 import json
+import socket
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, use as use_config
+from repro.api import RunConfig
 from repro.api.config import active as active_config
 from repro.api.specs import RunRequest
-from repro.experiments import store
 from repro.experiments.common import (
     clear_run_caches,
-    matrix_assets,
     platform_operator,
     run_request,
 )
@@ -38,45 +34,18 @@ from repro.service import (
     ServiceError,
     SolveService,
     VectorJob,
-    WireError,
-    pack_entry,
-    unpack_entry,
 )
-from repro.service import remote_store
 from repro.service.client import parse_address
 from repro.solvers import cg
 
 
-@pytest.fixture
-def fresh(monkeypatch, tmp_path):
-    """Fresh caches/counters with a tmpdir store configured via env."""
-    monkeypatch.setenv("REPRO_ASSET_STORE", str(tmp_path / "assets"))
-    monkeypatch.delenv("REPRO_SERVICE_STORE", raising=False)
-    clear_run_caches()
-    store.reset_counters()
-    remote_store.reset_counters()
-    yield tmp_path / "assets"
-    clear_run_caches()
-    store.reset_counters()
-    remote_store.reset_counters()
-
-
-def _build_entry(root, sid=2257, scale="test"):
-    """Materialise one real store entry under ``root``; returns its path."""
-    with use_config(RunConfig(store=str(root))):
-        clear_run_caches()
-        matrix_assets(sid, scale)
-        path = store.entry_path(sid, scale, Path(root))
-    clear_run_caches()
-    assert (path / "meta.json").is_file()
-    return path
-
-
-def _entry_bytes(path):
-    out = {}
-    for f in sorted(Path(path).iterdir()):
-        out[f.name] = f.read_bytes()
-    return out
+def _send_raw(sock, raw):
+    """Write raw request bytes on ``sock`` and parse the reply's head.  A
+    reply that never comes raises ``TimeoutError`` (the socket's timeout)."""
+    sock.sendall(raw)
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp
 
 
 @pytest.fixture
@@ -204,133 +173,6 @@ class TestCoalescer:
             co.submit("k", 1)
 
 
-class TestWire:
-    def test_round_trip_is_byte_exact(self, fresh, tmp_path):
-        src = _build_entry(fresh)
-        blob = pack_entry(src)
-        dest = tmp_path / "copy"
-        dest.mkdir()
-        meta = unpack_entry(blob, dest)
-        assert meta["sid"] == 2257
-        got = _entry_bytes(dest)
-        want = _entry_bytes(src)
-        assert got.keys() == want.keys()
-        for name in want:
-            if name == "meta.json":  # formatting-normalised, same content
-                assert json.loads(got[name]) == json.loads(want[name])
-            else:
-                assert got[name] == want[name]
-
-    def test_bad_magic_rejected(self, tmp_path):
-        with pytest.raises(WireError, match="magic"):
-            unpack_entry(b"NOPE1\n" + b"\x00" * 64, tmp_path)
-
-    def test_truncated_frame_rejected(self, fresh, tmp_path):
-        blob = pack_entry(_build_entry(fresh))
-        for cut in (len(blob) // 2, len(blob) - 1):
-            dest = tmp_path / f"cut{cut}"
-            dest.mkdir()
-            with pytest.raises(WireError):
-                unpack_entry(blob[:cut], dest)
-            assert not (dest / "meta.json").exists()  # nothing installed
-
-    def test_tampered_payload_rejected(self, fresh, tmp_path):
-        blob = bytearray(pack_entry(_build_entry(fresh)))
-        blob[-1] ^= 0xFF  # flip a bit in the last array's last byte
-        dest = tmp_path / "tampered"
-        dest.mkdir()
-        with pytest.raises(WireError, match="checksum"):
-            unpack_entry(bytes(blob), dest)
-
-    def test_trailing_garbage_rejected(self, fresh, tmp_path):
-        blob = pack_entry(_build_entry(fresh))
-        dest = tmp_path / "trailing"
-        dest.mkdir()
-        with pytest.raises(WireError):
-            unpack_entry(blob + b"extra", dest)
-
-    def test_pack_missing_entry_raises(self, tmp_path):
-        with pytest.raises(WireError):
-            pack_entry(tmp_path / "absent")
-
-
-class TestRemoteStoreProtocol:
-    def test_fetch_installs_bit_identical_entry(self, fresh, tmp_path):
-        src = _build_entry(fresh)
-        cache = tmp_path / "cache"
-        with SolveService(port=0,
-                          config=RunConfig(store=str(fresh))) as svc:
-            thread = threading.Thread(target=svc.serve_forever, daemon=True)
-            thread.start()
-            host, port = svc.address
-            url = f"http://{host}:{port}"
-            assert remote_store.fetch_entry(url, 2257, "test", cache)
-            assert not remote_store.fetch_entry(url, 494, "test", cache)
-            svc.shutdown()
-            thread.join(timeout=10)
-        installed = store.entry_path(2257, "test", cache)
-        got, want = _entry_bytes(installed), _entry_bytes(src)
-        for name in want:
-            if name == "meta.json":
-                assert json.loads(got[name]) == json.loads(want[name])
-            else:
-                assert got[name] == want[name]
-        snap = remote_store.counters()
-        assert snap["fetch_hits"] == 1
-        assert snap["fetch_misses"] == 1
-
-    def test_publish_installs_on_daemon_side(self, fresh, tmp_path):
-        local = tmp_path / "local"
-        src = _build_entry(local, sid=353)
-        with SolveService(port=0,
-                          config=RunConfig(store=str(fresh))) as svc:
-            thread = threading.Thread(target=svc.serve_forever, daemon=True)
-            thread.start()
-            host, port = svc.address
-            url = f"http://{host}:{port}"
-            assert remote_store.publish_entry(url, 353, "test", src)
-            # Re-publishing an existing entry is first-writer-wins, not
-            # an error.
-            assert remote_store.publish_entry(url, 353, "test", src)
-            svc.shutdown()
-            thread.join(timeout=10)
-        installed = store.entry_path(353, "test", Path(str(fresh)))
-        assert (installed / "meta.json").is_file()
-        got, want = _entry_bytes(installed), _entry_bytes(src)
-        assert set(got) == set(want)
-
-    def test_fetch_from_dead_daemon_is_a_plain_miss(self, tmp_path):
-        remote_store.reset_counters()
-        assert not remote_store.fetch_entry("http://127.0.0.1:9",
-                                            2257, "test", tmp_path)
-        assert remote_store.counters()["fetch_errors"] == 1
-
-    def test_load_entry_falls_back_to_remote_then_rebuilds(
-            self, fresh, tmp_path, monkeypatch):
-        """The store's miss path consults the remote hook; a corrupt
-        remote payload degrades to a plain miss and a local rebuild —
-        never a crash, never bad arrays."""
-        calls = []
-
-        def corrupt_fetch(url, sid, scale, root, timeout=None):
-            calls.append((url, sid, scale))
-            final = store.entry_path(sid, scale, Path(root))
-            final.mkdir(parents=True, exist_ok=True)
-            (final / "meta.json").write_text("{ not json")
-            return True
-
-        monkeypatch.setattr(remote_store, "fetch_entry", corrupt_fetch)
-        cfg = RunConfig(store=str(fresh),
-                        service_store="http://127.0.0.1:1")
-        with use_config(cfg):
-            clear_run_caches()
-            assets = matrix_assets(2257, "test")  # rebuilds locally
-        assert calls == [("http://127.0.0.1:1", 2257, "test")]
-        assert assets.A is not None
-        snap = store.counters()
-        assert snap["builds"] >= 1
-
-
 class TestDaemonEndToEnd:
     def test_coalesced_vector_solves_bit_identical_to_serial(self, service):
         svc, client = service
@@ -432,7 +274,7 @@ class TestDaemonEndToEnd:
         health = client.health()
         assert health["ok"] is True
         stats = client.stats()
-        assert {"service", "engine", "store", "remote_store"} <= set(stats)
+        assert {"service", "engine", "store"} <= set(stats)
         assert stats["coalesce"]["max_batch"] == 3
 
     def test_unknown_paths_and_malformed_bodies_get_4xx(self, service):
@@ -446,10 +288,31 @@ class TestDaemonEndToEnd:
             json.dumps({"type": "Mystery"}).encode())
         assert status == 400
 
-    def test_store_endpoints_without_root_return_503(self, service):
-        svc, client = service
-        status, _ = client._json("GET", "/v1/store/2257/test")
-        assert status == 503
+    @pytest.mark.parametrize("length", ["-1", "ten"])
+    def test_bad_content_length_gets_400_and_closes(self, service, length):
+        svc, _ = service
+        with socket.create_connection(svc.address, timeout=10.0) as sock:
+            resp = _send_raw(sock, (
+                f"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode())
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+            assert b"Content-Length" in resp.read()
+            assert sock.recv(1) == b""  # the daemon hung up
+
+    def test_unread_body_does_not_leak_into_next_request(self, service):
+        svc, _ = service
+        with socket.create_connection(svc.address, timeout=10.0) as sock:
+            # A body on a path the daemon rejects must still be consumed:
+            # the next request rides the same kept-alive connection.
+            nope = _send_raw(sock, b"POST /v1/nope HTTP/1.1\r\nHost: x\r\n"
+                                   b"Content-Length: 11\r\n\r\nhello world")
+            assert nope.status == 404
+            nope.read()
+            health = _send_raw(sock, b"GET /v1/health HTTP/1.1\r\n"
+                                     b"Host: x\r\n\r\n")
+            assert health.status == 200
+            assert json.loads(health.read())["ok"] is True
 
 
 class TestServiceClient:
