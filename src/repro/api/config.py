@@ -20,8 +20,8 @@ Resolution order, strongest first:
 | env var                   | field            | meaning                    |
 |---------------------------|------------------|----------------------------|
 | ``REPRO_FULL=1``          | ``scale``        | default scale ``"paper"``  |
-| ``REPRO_SUITE_WORKERS``   | ``workers``      | suite fan-out width        |
-| ``REPRO_SUITE_EXECUTOR``  | ``executor``     | ``thread`` / ``process``   |
+| ``REPRO_SUITE_WORKERS``   | ``workers``      | process-pool width         |
+| ``REPRO_SUITE_EXECUTOR``  | ``executor``     | ``serial`` / ``process``   |
 | ``REPRO_ASSET_CACHE_MB``  | ``asset_cache_mb`` | in-process LRU budget    |
 | ``REPRO_ASSET_STORE``     | ``store``        | on-disk asset store root   |
 | ``REPRO_ASSET_STORE_VERIFY=0`` | ``store_verify`` | skip store checksums  |
@@ -69,8 +69,8 @@ __all__ = [
 #: imports this tuple — config is a leaf module and must not import it back).
 SCALES = ("test", "default", "paper")
 
-#: Suite fan-out executors.
-EXECUTORS = ("thread", "process")
+#: Engine executors: inline on the calling thread, or the process pool.
+EXECUTORS = ("serial", "process")
 
 _JSON_TYPE = "RunConfig"
 _JSON_VERSION = 1
@@ -159,15 +159,15 @@ class RunConfig:
 
     scale: Optional[str] = None
     workers: Optional[int] = None
-    executor: str = "thread"
+    executor: str = "serial"
     asset_cache_mb: Optional[float] = None
     store: Optional[str] = None
     store_verify: bool = True
     skip_kappa: bool = False
     criterion: Optional[ConvergenceCriterion] = None
     #: Per-request execution budget in seconds (``None`` = no timeout).
-    #: Enforced by the executor fan-outs; the serial path cannot interrupt
-    #: a running solve and ignores it.
+    #: Enforced on the process executor only; the serial executor cannot
+    #: interrupt a solve running on its own thread and ignores it.
     request_timeout: Optional[float] = None
     #: Extra attempts after a request raises (0 = fail on the first error,
     #: the historical behaviour).  Process-pool *crash* recovery is not
@@ -264,7 +264,7 @@ class RunConfig:
             raise ValueError(
                 f"REPRO_SUITE_EXECUTOR must be one of {EXECUTORS}, "
                 f"got REPRO_SUITE_EXECUTOR={raw!r}")
-        fields["executor"] = raw or "thread"
+        fields["executor"] = raw or "serial"
         raw = env.get("REPRO_ASSET_CACHE_MB")
         fields["asset_cache_mb"] = _parse_cache_mb(raw) if raw else None
         fields["store"] = env.get("REPRO_ASSET_STORE") or None
@@ -342,8 +342,8 @@ class RunConfig:
 
 #: Explicitly-installed config (``None`` = derive from the environment on
 #: every read).  A plain module global on purpose: worker processes fork
-#: with it set, and worker *threads* of a fan-out must see the config the
-#: launching call installed.
+#: with it set, and the daemon's handler and batch threads must see the
+#: config the launching call installed.
 _ACTIVE: Optional[RunConfig] = None
 
 

@@ -27,9 +27,9 @@ Node types (the engine's vocabulary; the graph itself is type-agnostic):
   process-pool workers mmap-attach instead of rebuilding.
 
 Scheduling state is engine-agnostic: the scheduler never executes
-anything, it only answers "what may run now" — which is exactly what a
-serial loop, a thread pool and a persistent process pool need in
-common.  Cycle detection raises the named
+anything, it only answers "what may run now" — which is exactly what the
+engine's one loop needs, whether it runs nodes inline or on a
+persistent process pool.  Cycle detection raises the named
 :class:`GraphCycleError` (a ``ValueError``) at scheduling time, and every
 dispatch/finish is recorded in a per-node timing trace so the overlap is
 observable from :class:`~repro.experiments.common.ExecutionStats`.

@@ -58,10 +58,12 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.api import RunConfig, SuiteSpec
+from repro.api import EXECUTORS, RunConfig, SuiteSpec
 from repro.api.specs import RunRequest
 
 _API_COMMANDS = ("suite", "solve", "sweep", "store", "serve", "report")
+#: The commands whose flags build a :class:`RunConfig` (``args.config``).
+_CONFIG_COMMANDS = ("suite", "solve", "sweep", "serve")
 
 
 def _split_csv(text: Optional[str]) -> Optional[list]:
@@ -116,7 +118,7 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: REPRO_REQUEST_RETRIES or 0)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECS",
                         help="per-request timeout in seconds, enforced on "
-                             "pooled executors (default: "
+                             "the process executor (default: "
                              "REPRO_REQUEST_TIMEOUT or none)")
     parser.add_argument("--backoff", type=float, default=None, metavar="SECS",
                         help="retry backoff base: attempt n waits "
@@ -135,6 +137,17 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
                              "grammar: 'crash@attempt=1,sid=2257', "
                              "'hang@secs=30,sid=494', "
                              "'fail@attempts=1,sid=353'")
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """Engine flags shared by ``suite``, ``sweep`` and ``serve``."""
+    parser.add_argument("--workers", type=int, default=None,
+                        help="process-pool width (default: "
+                             "REPRO_SUITE_WORKERS, else one worker per "
+                             "request up to the CPU count)")
+    parser.add_argument("--executor", choices=EXECUTORS, default=None,
+                        help="engine executor (default: "
+                             "REPRO_SUITE_EXECUTOR or serial)")
 
 
 def _report_failures(failures) -> int:
@@ -181,7 +194,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     spec = SuiteSpec(solver=args.solver, scale=args.scale,
                      platforms=args.platforms, sids=args.sids)
     with use_fault_plan(args.fault or None):
-        runs = run_spec(spec, config=_run_config(args),
+        runs = run_spec(spec, config=args.config,
                         on_error=args.on_error)
     table = speedup_table(runs)
     rows = [[sid, name, runs[sid].iterations("gpu")]
@@ -221,7 +234,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.experiments.common import MatrixRun
         from repro.service import ServiceClient, ServiceError
 
-        client = ServiceClient.from_config(args.remote, _run_config(args))
+        client = ServiceClient.from_config(args.remote, args.config)
         try:
             run_dict = client.solve(request)
         except ServiceError as exc:
@@ -232,7 +245,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         from repro.api import config as api_config
         from repro.experiments import ledger
 
-        with use_config(_run_config(args)):
+        with use_config(args.config):
             run = run_request(request)
             ledger.record_run(
                 "solve", spec=request, scale=request.scale,
@@ -280,7 +293,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                      solvers=(args.solver,), baseline=baseline,
                      sids=args.sids, scale=args.scale, tols=args.tols)
     with use_fault_plan(args.fault or None):
-        result = run_sweep(spec, config=_run_config(args),
+        result = run_sweep(spec, config=args.config,
                            on_error=args.on_error, journal=args.journal,
                            resume=args.resume)
     if args.journal is not None and result.stats is not None:
@@ -332,7 +345,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.experiments.common import clear_run_caches
     from repro.service import SolveService
 
-    config = _run_config(args)
+    config = args.config
     with use_fault_plan(args.fault or None):
         service = SolveService(host=args.host, port=args.port, config=config)
         host, port = service.address
@@ -507,11 +520,7 @@ def _api_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--sids", type=_sids_arg, default=None,
                             metavar="ID1,ID2,...",
                             help="suite-matrix subset (default: all 12)")
-        parser.add_argument("--workers", type=int, default=None,
-                            help="fan-out width (default: one per matrix "
-                                 "up to the CPU count)")
-        parser.add_argument("--executor", choices=["thread", "process"],
-                            default=None, help="fan-out executor")
+        _add_engine_flags(parser)
         _add_fault_flags(parser)
         parser.set_defaults(func=_cmd_suite)
     elif command == "sweep":
@@ -536,11 +545,7 @@ def _api_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--scale", choices=["test", "default", "paper"],
                             default=None,
                             help="matrix scale (default: 'default')")
-        parser.add_argument("--workers", type=int, default=None,
-                            help="fan-out width (default: one per run "
-                                 "up to the CPU count)")
-        parser.add_argument("--executor", choices=["thread", "process"],
-                            default=None, help="fan-out executor")
+        _add_engine_flags(parser)
         parser.add_argument("--json", dest="json_out", metavar="OUT",
                             default=None,
                             help="write the sweep (spec + per-variant "
@@ -587,10 +592,7 @@ def _api_parser(command: str) -> argparse.ArgumentParser:
         parser.add_argument("--port", type=int, default=0,
                             help="bind port (default: 0 = ephemeral; the "
                                  "bound port is printed on startup)")
-        parser.add_argument("--workers", type=int, default=None,
-                            help="engine fan-out width per batch")
-        parser.add_argument("--executor", choices=["thread", "process"],
-                            default=None, help="engine executor")
+        _add_engine_flags(parser)
         parser.add_argument("--store", default=None, metavar="PATH",
                             help="the daemon's asset-store root (default: "
                                  "REPRO_ASSET_STORE)")
@@ -664,6 +666,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parser.error("--max-mb must be >= 0")
         if argv[0] == "sweep" and args.resume and args.journal is None:
             parser.error("--resume requires --journal")
+        if argv[0] in _CONFIG_COMMANDS:
+            try:
+                args.config = _run_config(args)
+            except ValueError as exc:  # e.g. --workers 0, --timeout -1
+                parser.error(str(exc))
         return args.func(args)
 
     from repro.experiments import EXPERIMENTS, run_experiment

@@ -49,12 +49,10 @@ persistent on-disk store, then a full build — plus a configurable fan-out:
   dependencies complete — variant solves overlap still-running
   baselines, pre-warm overlaps independent solves — and a failed node
   skips its dependents with structured ``"dependency"`` failures;
-* :func:`run_suite` fans the 12 matrices out over an executor.
-  ``REPRO_SUITE_EXECUTOR`` selects ``thread`` (default) or ``process``;
-  ``REPRO_SUITE_WORKERS`` overrides the worker count, with ``1`` forcing
-  the serial path.  Thread results are deterministic and identical to
-  serial execution — operators are effectively immutable and the
-  vector-converter scratch buffers are thread-local.  The process pool
+* :func:`run_suite` runs the 12 matrices through one scheduling loop.
+  ``REPRO_SUITE_EXECUTOR`` selects ``serial`` (default: each node runs
+  inline on the calling thread, one at a time) or ``process``;
+  ``REPRO_SUITE_WORKERS`` sets the process-pool width.  The process pool
   sidesteps the GIL entirely for ``paper``-scale sweeps: task payloads are
   picklable ``(sid, solver, scale)`` triples, each worker process resolves
   assets through its own hierarchy — with a store configured the parent
@@ -81,7 +79,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass, field, replace
@@ -782,8 +779,8 @@ def run_request(request: RunRequest, attempt: int = 1) -> MatrixRun:
 
     ``attempt`` is the execution ordinal the engine threads through on
     retries/resubmissions.  The named fault-injection points live here —
-    ``"solve"`` before the work, ``"result"`` after it — so every executor
-    path (serial, thread pool, process-pool worker) consults the same
+    ``"solve"`` before the work, ``"result"`` after it — so both executors
+    (inline and process-pool worker) consult the same
     deterministic plan (:mod:`repro.api.faults`); a fault-free run pays one
     emptiness check per point.
     """
@@ -843,8 +840,7 @@ def _suite_workers(n_tasks: int) -> int:
 
 
 def _suite_executor(executor: Optional[str] = None) -> str:
-    """Resolve the fan-out executor: argument, then config/env, then
-    ``thread``."""
+    """Resolve the executor: argument, then config/env, then ``serial``."""
     if executor is None:
         return api_config.active().executor
     if executor not in _EXECUTORS:
@@ -855,10 +851,10 @@ def _suite_executor(executor: Optional[str] = None) -> str:
 
 def _suite_task(request: RunRequest, attempt: int = 1,
                 fault_tokens: Optional[Tuple[str, ...]] = None) -> MatrixRun:
-    """Picklable process-pool payload: one :class:`RunRequest`.
+    """The solve task both executors submit: one :class:`RunRequest`.
 
-    Executes in a worker process, where the module-level asset cache is
-    per-process state: the first task touching a ``(sid, scale)`` pair
+    In a worker process the module-level asset cache is per-process
+    state: the first task touching a ``(sid, scale)`` pair
     resolves the assets through its own hierarchy — a memory-mapped store
     attach when a store is configured (the parent pre-materialised every
     entry), a local build otherwise — and later tasks in the same worker
@@ -870,15 +866,17 @@ def _suite_task(request: RunRequest, attempt: int = 1,
     strings — the worker materialises them from its own kind registry
     (exactly how variant tokens rebuild platforms), so deterministic fault
     injection crosses the pickle boundary regardless of start method.
+    Run inline, the tokens are this process's own plan and the sync is a
+    no-op.
     """
     faults.sync_fault_plan(fault_tokens)
     return run_request(request, attempt=attempt)
 
 
 def _ensure_store_task(sid: int, scale: str) -> None:
-    """Picklable pre-warm payload: build one asset in a worker and publish it.
+    """The pre-warm task: build one asset in a worker and publish it.
 
-    Runs in a worker process: ``matrix_assets`` misses the (empty) store,
+    In a worker process ``matrix_assets`` misses the (empty) store,
     builds, publishes the entry atomically *and* warms that worker's own
     in-process cache — so the cold pre-materialisation is as parallel as
     the sweep itself, and the parent never pins assets it will not solve.
@@ -958,19 +956,6 @@ def _reraise(failures: List[RunFailure]) -> None:
         f"request failed: {failures[0].to_dict()}")
 
 
-def _run_node(node: Any, attempt: int = 1) -> Optional[MatrixRun]:
-    """Execute one graph node in this process (serial path, thread worker).
-
-    Solve nodes run :func:`run_request` (looked up as a module global at
-    call time, so tests can monkeypatch it); asset nodes materialise their
-    store entry and produce no run.
-    """
-    if node.kind == "asset":
-        _ensure_store_task(node.sid, node.scale)
-        return None
-    return run_request(node.request, attempt=attempt)
-
-
 def _skip_dependents(sched: GraphScheduler, graph: TaskGraph, key: str,
                      phase: str, failures: List[RunFailure],
                      stats: ExecutionStats) -> None:
@@ -990,70 +975,37 @@ def _skip_dependents(sched: GraphScheduler, graph: TaskGraph, key: str,
             sid=node.sid, solver=node.solver))
 
 
-def _execute_serial(graph: TaskGraph, on_error: str,
-                    on_result: Optional[Callable[[RunRequest, MatrixRun],
-                                                 None]],
-                    stats: ExecutionStats,
-                    ) -> Tuple[Dict[str, MatrixRun], List[RunFailure]]:
-    """The serial engine path: scheduler-ordered in-process attempt loops.
+class _InlineExecutor:
+    """The serial executor: runs each task on the calling thread.
 
-    Nodes run one at a time in the scheduler's deterministic topological
-    order, so dependencies are always complete before their dependents
-    start.  ``request_timeout`` is *not* enforced here — a same-thread
-    solve cannot be interrupted from outside — which the config documents;
-    retries and backoff behave exactly as in the pooled paths.
+    It has the process pool's ``submit(fn, *args)`` signature and returns
+    an already-finished :class:`Future`, so serial and process execution
+    share one scheduling loop (:func:`_execute`).
     """
-    cfg = api_config.active()
-    sched = GraphScheduler(graph)
-    results: Dict[str, MatrixRun] = {}
-    failures: List[RunFailure] = []
-    try:
-        while sched.has_ready:
-            key = sched.pop_ready()
-            node = graph.payload(key)
-            attempt = 1
-            while True:
-                sched.start(key)
-                try:
-                    run = _run_node(node, attempt)
-                except Exception as exc:
-                    if attempt <= cfg.request_retries:
-                        stats.retries += 1
-                        _backoff_sleep(cfg.retry_backoff, attempt)
-                        attempt += 1
-                        continue
-                    if on_error == "raise":
-                        raise
-                    phase = "asset" if node.kind == "asset" else "solve"
-                    failures.append(RunFailure.from_exception(
-                        exc, key=key, phase=phase, attempts=attempt,
-                        sid=node.sid, solver=node.solver))
-                    _skip_dependents(sched, graph, key, phase, failures,
-                                     stats)
-                    break
-                sched.complete(key)
-                if node.kind != "asset":
-                    results[key] = run
-                    if on_result is not None:
-                        on_result(node.request, run)
-                break
-    finally:
-        stats.trace = sched.trace_dict()
-    return results, failures
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
-def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
-                    on_error: str,
-                    on_result: Optional[Callable[[RunRequest, MatrixRun],
-                                                 None]],
-                    stats: ExecutionStats,
-                    ) -> Tuple[Dict[str, MatrixRun], List[RunFailure]]:
-    """The pooled engine path: one scheduler-driven submit/collect loop.
+def _execute(graph: TaskGraph, workers: int, executor: str, on_error: str,
+             on_result: Optional[Callable[[RunRequest, MatrixRun], None]],
+             stats: ExecutionStats,
+             ) -> Tuple[Dict[str, MatrixRun], List[RunFailure]]:
+    """The engine's one scheduler-driven submit/collect loop.
 
     The :class:`GraphScheduler` owns readiness — a node dispatches the
     moment its dependencies complete and a slot is free, with **no phase
     barriers**: variant solves overlap still-running baselines, asset
-    pre-warm overlaps independent solves.  State per node key:
+    pre-warm overlaps independent solves.  ``executor`` picks what runs a
+    dispatched node: ``"serial"`` runs it inline on the calling thread
+    (:class:`_InlineExecutor`) with a window of one, so nodes run one at a
+    time in the scheduler's deterministic order; ``"process"`` submits it
+    to the persistent process pool, ``workers`` wide.  State per node key:
     ``attempts`` (executions started — the fault plan and the retry budget
     both count these), ``breaks`` (process-pool breaks the node was in
     flight for).  Failure semantics:
@@ -1075,16 +1027,17 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
     * a node outliving ``request_timeout`` charges one retry (or records
       a ``"timeout"`` failure); on the process pool its worker is killed
       and the pool rebuilt (innocent in-flight nodes requeue without a
-      charge), on the thread pool the hung thread cannot be reclaimed
-      (best effort: its result is abandoned, the slot stays occupied until
-      it returns).
+      charge).  The serial executor cannot interrupt a solve on its own
+      thread and ignores the timeout.
 
     Submission caps in-flight work at the worker count when a timeout is
     active (a queued-behind-a-hog node must not have its clock started);
     without one, every ready node is submitted as it unlocks.
     """
     cfg = api_config.active()
-    timeout, retries = cfg.request_timeout, cfg.request_retries
+    retries = cfg.request_retries
+    inline = executor == "serial"
+    timeout = None if inline else cfg.request_timeout
     sched = GraphScheduler(graph)
     results: Dict[str, MatrixRun] = {}
     failures: List[RunFailure] = []
@@ -1094,11 +1047,11 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
     solo: Optional[str] = None  # the node currently running alone
     inflight: Dict[Future, str] = {}
     deadlines: Dict[Future, float] = {}
-    window = workers if timeout is not None else len(graph)
-    abandoned = 0  # hung thread-pool futures we stopped waiting on
-    process = executor == "process"
-    pool = _process_pool(workers) if process else ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="suite")
+    window = 1 if inline else workers if timeout is not None else len(graph)
+    pool = _InlineExecutor() if inline else _process_pool(workers)
+    # A task raising BrokenExecutor inline broke no pool: it is an
+    # ordinary failure.
+    pool_break = () if inline else BrokenExecutor
 
     def fail(key: str, exc: BaseException, phase: str) -> None:
         node = graph.payload(key)
@@ -1117,36 +1070,39 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
         else:
             sched.requeue(key, front=True)
 
-    def rebuild(kill: bool = False) -> None:
-        """Replace the pool; every in-flight node becomes a suspect."""
-        nonlocal pool, solo
+    def replace_pool(kill: bool = False) -> None:
+        """Swap in a fresh pool (``kill`` SIGKILLs live workers first)."""
+        nonlocal pool
         stats.pool_rebuilds += 1
+        _discard_process_pool(kill=kill)
+        pool = _process_pool(workers)
+
+    def rebuild() -> None:
+        """Replace the pool; every in-flight node becomes a suspect."""
+        nonlocal solo
         for fut, key in reversed(list(inflight.items())):
             suspect(key)
         inflight.clear()
         deadlines.clear()
         solo = None
-        _discard_process_pool(kill=kill)
-        pool = _process_pool(workers)
+        replace_pool()
 
     def submit(key: str) -> bool:
         """Start one execution; False when the pool broke on submit."""
         node = graph.payload(key)
         attempts[key] += 1
+        # Trace the dispatch first: the inline executor runs the task
+        # inside submit.
+        sched.start(key)
         try:
             if node.kind == "asset":
                 fut = pool.submit(_ensure_store_task, node.sid, node.scale)
-            elif process:
+            else:
                 fut = pool.submit(_suite_task, node.request, attempts[key],
                                   faults.plan_tokens())
-            else:
-                fut = pool.submit(_run_node, node, attempts[key])
         except BrokenExecutor:
-            if not process:  # thread pools have no rebuild path
-                raise
             attempts[key] -= 1
             return False
-        sched.start(key)
         inflight[fut] = key
         if timeout is not None:
             deadlines[fut] = time.monotonic() + timeout
@@ -1159,9 +1115,7 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
                 # a break unambiguously convicts it.
                 solo = probe.popleft()
                 while not submit(solo):
-                    stats.pool_rebuilds += 1
-                    _discard_process_pool()
-                    pool = _process_pool(workers)
+                    replace_pool()
             elif solo is None and not probe:
                 while sched.has_ready and len(inflight) < window:
                     key = sched.pop_ready()
@@ -1189,7 +1143,7 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
                 node = graph.payload(key)
                 try:
                     run = fut.result()
-                except BrokenExecutor:
+                except pool_break:
                     broken = True
                     if solo == key:
                         breaks[key] += 1
@@ -1218,7 +1172,7 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
                         results[key] = run
                         if on_result is not None:
                             on_result(node.request, run)
-            if broken and process:
+            if broken:
                 rebuild()
             if timeout is not None and not broken:
                 now = time.monotonic()
@@ -1230,9 +1184,6 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
                         stats.timeouts += 1
                         was_solo, solo = solo == key, (None if solo == key
                                                        else solo)
-                        if not process:
-                            fut.cancel()
-                            abandoned += 1
                         if attempts[key] <= retries:
                             stats.retries += 1
                             if was_solo:
@@ -1243,29 +1194,22 @@ def _execute_pooled(graph: TaskGraph, workers: int, executor: str,
                             fail(key, TimeoutError(
                                 f"request exceeded request_timeout="
                                 f"{timeout}s"), "timeout")
-                    if process:
-                        # The hung workers cannot be cancelled
-                        # cooperatively: kill the pool and requeue the
-                        # innocent in-flight nodes uncharged (their
-                        # execution never reached a verdict).
-                        stats.pool_rebuilds += 1
-                        for fut, key in reversed(list(inflight.items())):
-                            attempts[key] -= 1
-                            sched.requeue(key, front=True)
-                        inflight.clear()
-                        deadlines.clear()
-                        _discard_process_pool(kill=True)
-                        pool = _process_pool(workers)
+                    # The hung workers cannot be cancelled cooperatively:
+                    # kill the pool and requeue the innocent in-flight
+                    # nodes uncharged (their execution never reached a
+                    # verdict).
+                    for fut, key in reversed(list(inflight.items())):
+                        attempts[key] -= 1
+                        sched.requeue(key, front=True)
+                    inflight.clear()
+                    deadlines.clear()
+                    replace_pool(kill=True)
             if failures and on_error == "raise":
                 break
     finally:
         stats.trace = sched.trace_dict()
         for fut in inflight:
             fut.cancel()
-        if not process:
-            # A hung thread cannot be joined without hanging ourselves:
-            # skip the drain when any future was abandoned on timeout.
-            pool.shutdown(wait=(abandoned == 0), cancel_futures=True)
     if failures and on_error == "raise":
         _reraise(failures)
     return results, failures
@@ -1276,7 +1220,6 @@ def _execute_requests(requests: List[RunRequest], workers: int,
                       on_result: Optional[Callable[[RunRequest, MatrixRun],
                                                    None]] = None,
                       edges: Iterable[Tuple[str, str]] = (),
-                      serial_fallback: bool = True,
                       ) -> Tuple[Dict[str, MatrixRun],
                                  List[RunFailure], ExecutionStats]:
     """Compile a batch of :class:`RunRequest`\\ s into a task graph and run it.
@@ -1286,17 +1229,18 @@ def _execute_requests(requests: List[RunRequest], workers: int,
     ``(dependent_key, dependency_key)`` request-key pairs — compiles into
     a :class:`~repro.api.graph.TaskGraph`; on the process executor with a
     store configured, missing store entries join the graph as asset nodes
-    gating exactly the solves that need them.  The scheduler then
-    dispatches ready nodes with no phase barriers: serial below two
-    workers, the persistent process pool (workers mmap-attach pre-warmed
-    entries instead of rebuilding) for ``"process"``, a thread pool
-    otherwise.  Fault-free results are identical to serial execution on
-    every path.
+    gating exactly the solves that need them.  :func:`_execute` then
+    dispatches ready nodes with no phase barriers: inline one at a time
+    for ``"serial"``, on the persistent process pool (``workers`` wide,
+    even for one request; workers mmap-attach pre-warmed entries instead
+    of rebuilding) for ``"process"``, so a crashing solve takes down a
+    pool worker, never the caller.  Fault-free results are identical on
+    both executors.
 
     Fault tolerance — retries with deterministic backoff, per-request
-    timeouts, broken-pool recovery — resolves through the active
-    :class:`RunConfig` (``request_timeout``/``request_retries``/
-    ``retry_backoff``) and applies per node.  Returns
+    timeouts (process executor only), broken-pool recovery — resolves
+    through the active :class:`RunConfig` (``request_timeout``/
+    ``request_retries``/``retry_backoff``) and applies per node.  Returns
     ``(results, failures, stats)``: ``results`` maps each completed
     request's :meth:`~repro.api.specs.RunRequest.key` to its run (failed
     and skipped keys are absent), ``failures`` the structured
@@ -1306,27 +1250,14 @@ def _execute_requests(requests: List[RunRequest], workers: int,
     ``stats`` the :class:`ExecutionStats` counters with the scheduler's
     per-node timing trace.  ``on_result(request, run)`` fires in the
     parent as each solve completes — the sweep journal's append hook.
-
-    ``serial_fallback=False`` forces the pooled engine even for a single
-    request or a single worker.  The solve-service daemon needs this on
-    the process executor: an inline ``run_request`` would run injected
-    crash faults (and any hard worker death they emulate) *in the daemon
-    process*, forfeiting exactly the isolation the process executor was
-    chosen for.
     """
     _check_on_error(on_error)
-    serial = serial_fallback and (workers <= 1 or len(requests) <= 1)
-    prewarm = (_prewarm_plan(requests)
-               if not serial and executor == "process" else ())
+    prewarm = _prewarm_plan(requests) if executor == "process" else ()
     graph = compile_solve_graph(requests, edges=edges, assets=prewarm)
     stats = ExecutionStats(requests=len(requests), nodes=len(graph),
                            edges=graph.n_edges)
-    if serial:
-        results, failures = _execute_serial(graph, on_error, on_result,
-                                            stats)
-    else:
-        results, failures = _execute_pooled(graph, workers, executor,
-                                            on_error, on_result, stats)
+    results, failures = _execute(graph, workers, executor, on_error,
+                                 on_result, stats)
     return results, failures, stats
 
 
@@ -1342,12 +1273,13 @@ def run_suite(solver: str, scale: Optional[str] = None,
               ) -> "SuiteResult":
     """Run (or fetch) the suite evaluation for one solver.
 
-    The per-matrix runs are independent, so they fan out over an executor
-    (``max_workers``, or the active config's worker count; default: one
-    worker per matrix up to the CPU count).  ``executor`` — or the config —
-    selects ``"thread"`` (default; shares the in-process asset cache) or
-    ``"process"`` (GIL-free; each worker process keeps its own asset cache,
-    the right choice for ``paper``-scale sweeps).  ``platforms``/``sids``
+    The per-matrix runs are independent.  ``executor`` — or the config —
+    selects ``"serial"`` (default; runs them inline, one at a time, on the
+    in-process asset cache) or ``"process"`` (GIL-free; each worker
+    process keeps its own asset cache, the right choice for
+    ``paper``-scale sweeps).  ``max_workers``, or the active config's
+    worker count, sets the process-pool width (default: one worker per
+    matrix up to the CPU count).  ``platforms``/``sids``
     restrict the sweep to a registered-platform subset and/or a matrix
     subset; subset results are identical to the corresponding slice of a
     full run.  ``criterion`` pins the convergence criterion (default: the
@@ -1546,10 +1478,10 @@ def run_sweep(spec: SweepSpec, use_cache: bool = True,
 
     The grid expands to variant platforms (materialised from their family,
     in this process and in every worker), and every (solver, variant, sid)
-    cell becomes one :class:`RunRequest` — all of them fanned out together
-    through the same thread/process executor and asset store as
-    :func:`run_suite`, so a single-matrix sigma sweep parallelises exactly
-    like a whole-suite run.  Baseline platforms are solved once per
+    cell becomes one :class:`RunRequest` — all of them run together
+    through the same serial/process executor and asset store as
+    :func:`run_suite`, so on the process pool a single-matrix sigma sweep
+    parallelises exactly like a whole-suite run.  Baseline platforms are solved once per
     (solver, sid) and grafted into each variant's :class:`MatrixRun`.
     ``criterion``/``config`` resolve as in :func:`run_suite`, with the
     resolved criterion stamped into every request.

@@ -110,15 +110,6 @@ class SweepJournal:
             record["spec"].setdefault("tols", None)
         return record
 
-    def matches(self, spec: SweepSpec, scale: str,
-                criterion: ConvergenceCriterion) -> bool:
-        """Whether this file's header pins exactly this sweep."""
-        for lineno, record in self._log.replay(torn="stop"):
-            return (lineno == 0
-                    and self._normalise_header(record)
-                    == self._header(spec, scale, criterion))
-        return False
-
     def load(self, spec: SweepSpec, scale: str,
              criterion: ConvergenceCriterion) -> Dict[str, "object"]:
         """Replay the journal: ``{request key: MatrixRun}`` (summary-grade).

@@ -5,8 +5,9 @@ surface (stdlib ``http.server``/``http.client`` only — no new deps):
 
 - :class:`~repro.service.daemon.SolveService` — the long-lived daemon.
   ``POST /v1/solve`` accepts a :class:`~repro.api.specs.RunRequest` payload
-  (scheduled onto the persistent process pool through the graph scheduler,
-  inheriting retries/timeouts/pool recovery/dependency-skip) or a
+  (run by the graph scheduler — inline, or on the persistent process pool
+  with ``--executor process`` — inheriting retries/timeouts/pool
+  recovery/dependency-skip) or a
   :class:`~repro.service.jobs.VectorJob` (a single right-hand side, the
   many-users fast path).  ``GET /v1/stats`` surfaces the service counters.
   The daemon serves solves only; asset-store entries stay local to the

@@ -6,11 +6,13 @@ share one ``POST /v1/solve`` endpoint, distinguished by the payload's
 
 - ``"RunRequest"`` — the full evaluation unit.  Concurrently arriving
   requests are micro-batched (same window/size bounds as the coalescer)
-  into one :func:`~repro.experiments.common._execute_requests` call, i.e.
-  scheduled onto the persistent process pool through the existing graph
-  scheduler — retries, timeouts, pool recovery and dependency-skip all
-  inherited.  Results stream back as ``MatrixRun.to_dict()``; structured
-  failures come back as ``RunFailure`` records, not hung sockets.
+  into one :func:`~repro.experiments.common._execute_requests` call, run
+  by the graph scheduler — inline on the serial executor, on the
+  persistent process pool on ``process`` (a crashing solve then takes
+  down a pool worker, not the daemon) — with retries, timeouts, pool
+  recovery and dependency-skip all inherited.  Results stream back as
+  ``MatrixRun.to_dict()``; structured failures come back as
+  ``RunFailure`` records, not hung sockets.
 - ``"VectorJob"`` — one right-hand side.  Same-key jobs coalesce into one
   lockstep ``matmat`` batch (:mod:`repro.service.coalesce`), bit-identical
   per column to solving each request on its own.
@@ -214,12 +216,8 @@ class SolveService:
         # process-wide singleton and concurrent schedulers must not share
         # it mid-rebuild.
         with self._engine_lock:
-            # On the process executor, never fall back to inline
-            # execution (even for a one-request batch): a crashing solve
-            # must take down a pool worker, not the daemon.
             results, failures, stats = _execute_requests(
-                requests, workers, cfg.executor, on_error="collect",
-                serial_fallback=cfg.executor != "process")
+                requests, workers, cfg.executor, on_error="collect")
         with self.counters._lock:
             for name, value in stats.to_dict().items():
                 self._engine_totals[name] = (

@@ -133,7 +133,7 @@ class TestRunConfig:
             monkeypatch.delenv(var, raising=False)
         cfg = RunConfig.from_env()
         assert cfg == RunConfig()
-        assert cfg.executor == "thread"
+        assert cfg.executor == "serial"
         assert cfg.asset_cache_bytes is None
         assert cfg.request_timeout is None
         assert cfg.request_retries == 0
@@ -161,9 +161,9 @@ class TestRunConfig:
     def test_overrides_take_precedence_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_WORKERS", "3")
         monkeypatch.setenv("REPRO_SUITE_EXECUTOR", "process")
-        cfg = RunConfig.from_env(workers=7, executor="thread")
+        cfg = RunConfig.from_env(workers=7, executor="serial")
         assert cfg.workers == 7
-        assert cfg.executor == "thread"
+        assert cfg.executor == "serial"
 
     def test_invalid_env_values_name_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_WORKERS", "many")
@@ -243,10 +243,10 @@ class TestRunConfig:
     def test_use_installs_and_restores(self, monkeypatch):
         monkeypatch.delenv("REPRO_SUITE_EXECUTOR", raising=False)
         cfg = RunConfig(executor="process")
-        assert api_config.active().executor == "thread"
+        assert api_config.active().executor == "serial"
         with api_config.use(cfg):
             assert api_config.active() is cfg
-        assert api_config.active().executor == "thread"
+        assert api_config.active().executor == "serial"
 
     def test_installed_config_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_WORKERS", "5")

@@ -3,17 +3,16 @@
 Covers the graph/scheduler primitives (topological dispatch order, named
 cycle errors, dependent-skip on failure), the engine integration (suite
 and sweep results pinned bit-identical to direct ``run_matrix`` solves on
-every executor), the no-phase-barrier property (a variant solve dispatches
+both executors), the no-phase-barrier property (a variant solve dispatches
 while a baseline is still running), and the ``"asset"``/``"dependency"``
 failure phases that replaced the silently-dropped pre-warm futures.
 """
-
-import threading
 
 import numpy as np
 import pytest
 
 from repro.api import faults
+from repro.api.config import EXECUTORS
 from repro.api.faults import RunFailure
 from repro.api.graph import (
     AssetNode,
@@ -283,20 +282,20 @@ class TestCompileSolveGraph:
 
 
 class TestGraphEngineIdentical:
-    def test_suite_serial_and_thread_match_run_matrix(self, fresh_caches):
-        serial = run_suite("cg", "test", sids=FAST_SIDS, max_workers=1,
+    def test_suite_serial_and_process_match_run_matrix(self, fresh_caches):
+        serial = run_suite("cg", "test", sids=FAST_SIDS, executor="serial",
                            use_cache=False)
-        threaded = run_suite("cg", "test", sids=FAST_SIDS, max_workers=2,
-                             executor="thread", use_cache=False)
+        pooled = run_suite("cg", "test", sids=FAST_SIDS, max_workers=2,
+                           executor="process", use_cache=False)
         for sid in FAST_SIDS:
             direct = run_matrix(sid, "cg", "test")
-            for runs in (serial, threaded):
+            for runs in (serial, pooled):
                 assert runs[sid].to_dict() == direct.to_dict()
                 assert runs[sid].times_s == direct.times_s
                 for plat, res in direct.results.items():
                     np.testing.assert_array_equal(
                         runs[sid].results[plat].x, res.x)
-        for runs in (serial, threaded):
+        for runs in (serial, pooled):
             assert runs.stats.nodes == len(FAST_SIDS)
             assert runs.stats.edges == 0
             assert runs.stats.skipped == 0
@@ -306,10 +305,10 @@ class TestGraphEngineIdentical:
         spec = SweepSpec(family="noisy", grid={"sigma": (0.01,),
                                                "seed": (7,)},
                          sids=(1313, 1288), scale="test")
-        serial = run_sweep(spec, use_cache=False, max_workers=1)
-        threaded = run_sweep(spec, use_cache=False, max_workers=2,
-                             executor="thread")
-        assert serial.to_dict() == threaded.to_dict()
+        serial = run_sweep(spec, use_cache=False, executor="serial")
+        pooled = run_sweep(spec, use_cache=False, max_workers=2,
+                           executor="process")
+        assert serial.to_dict() == pooled.to_dict()
         # 2 baselines + 2 variant cells, one "needs baseline" edge each.
         assert serial.stats.nodes == 4 and serial.stats.edges == 2
         for sid in (1313, 1288):
@@ -327,7 +326,7 @@ class TestGraphEngineIdentical:
 
     def test_trace_covers_every_node(self, fresh_caches):
         runs = run_suite("cg", "test", sids=FAST_SIDS, max_workers=2,
-                         executor="thread", use_cache=False)
+                         executor="process", use_cache=False)
         trace = runs.stats.trace
         assert len(trace) == len(FAST_SIDS)
         assert all(t["state"] == "done" and t["dispatches"] == 1
@@ -343,41 +342,19 @@ class TestGraphEngineIdentical:
 
 class TestNoPhaseBarrier:
     def test_variant_dispatches_before_last_baseline_completes(
-            self, fresh_caches, monkeypatch):
-        variant_started = threading.Event()
-        baseline_released = threading.Event()
-        events = []
-        events_lock = threading.Lock()
-        orig = common.run_request
-
-        def choreographed(request, attempt=1):
-            is_baseline = request.platforms == ("gpu",)
-            with events_lock:
-                events.append(("start", is_baseline, request.sid))
-            if is_baseline and request.sid == 1288:
-                # The last baseline parks until some variant has
-                # dispatched.  Under a solve-all-baselines-first phase
-                # barrier no variant could start, and this wait would
-                # time out.
-                assert variant_started.wait(30), (
-                    "no variant dispatched while a baseline was still "
-                    "running: the engine has a phase barrier")
-                baseline_released.set()
-            if not is_baseline:
-                variant_started.set()
-            return orig(request, attempt=attempt)
-
-        monkeypatch.setattr(common, "run_request", choreographed)
+            self, fresh_caches):
+        # The 1288 baseline hangs 2 s in its worker.  Under a
+        # solve-all-baselines-first phase barrier no variant could
+        # dispatch before it finished; the trace shows the 1313 variant
+        # dispatching while it still ran.
         spec = SweepSpec(family="noisy", grid={"sigma": (0.01,),
                                                "seed": (7,)},
                          sids=(1313, 1288), scale="test")
-        result = run_sweep(spec, use_cache=False, max_workers=2,
-                           executor="thread")
-        assert variant_started.is_set() and baseline_released.is_set()
+        with faults.use_fault_plan(["hang@secs=2,sid=1288"]):
+            result = run_sweep(spec, use_cache=False, max_workers=2,
+                               executor="process")
         assert not result.failures
         assert sorted(result.variant(result.tokens[0])) == [1288, 1313]
-        # The per-node timing trace shows the same overlap: at least one
-        # variant solve dispatched before the last baseline finished.
         trace = result.stats.trace
         baseline_finish = max(t["finished"] for t in trace.values()
                               if t["kind"] == "baseline")
@@ -427,7 +404,9 @@ class TestDependencySkips:
         data = record.to_dict()
         assert data["error_type"] == "DependencyFailed"
 
-    def test_asset_node_failure_skips_dependent_solves(self, fresh_caches):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_asset_node_failure_skips_dependent_solves(self, fresh_caches,
+                                                       executor):
         # Hand-built graph: the solve depends on an asset node whose
         # build must fail (unknown sid), so the engine records an
         # "asset"-phase failure and a "dependency" skip — the fix for
@@ -438,8 +417,8 @@ class TestDependencySkips:
         graph.add_node(SolveNode(req))
         graph.depend(req.key(), AssetNode.key_for(999999, "test"))
         stats = ExecutionStats(requests=1, nodes=2, edges=1)
-        results, failures = common._execute_pooled(
-            graph, 2, "thread", "collect", None, stats)
+        results, failures = common._execute(
+            graph, 2, executor, "collect", None, stats)
         assert results == {}
         assert [f.phase for f in failures] == ["asset", "dependency"]
         assert failures[0].sid == 999999 and failures[0].solver is None

@@ -145,9 +145,9 @@ class TestJournalOnCore:
             json.dumps(header, sort_keys=True) + "\n"
             + json.dumps({"key": "old-key", "run": run_dict},
                          sort_keys=True) + "\n")
-        journal = SweepJournal(path)
-        assert journal.matches(spec, "test", crit)
-        runs = journal.load(spec, "test", crit)
+        # load raises on a header mismatch, so replaying at all proves
+        # the old header still matches.
+        runs = SweepJournal(path).load(spec, "test", crit)
         assert list(runs) == ["old-key"]
         assert runs["old-key"].to_dict() == run_dict
 
@@ -355,6 +355,24 @@ class TestReportCLI:
         assert [p["record"] for p in points] == [0, 1, 2]
         assert all(p["converged"] for p in points)
         assert all(p["time_s"] is not None for p in points)
+
+    def test_report_replays_record_with_retired_executor(self, ledger_env,
+                                                         tmp_path):
+        # Records written while the thread executor existed carry it in
+        # their RunConfig snapshot.  report reads the runs and never
+        # revives the snapshot, so such records must keep replaying.
+        config = RunConfig().to_dict()
+        config["executor"] = "thread"
+        RunLedger(ledger_env).append({
+            "type": "RunLedger", "version": ledger.LEDGER_VERSION,
+            "kind": "suite", "ts": 1.0, "scale": "test", "config": config,
+            "runs": [_run_dict()], "failures": []})
+        out_file = tmp_path / "report.json"
+        assert cli_main(["report", "--json", str(out_file)]) == 0
+        payload = json.loads(out_file.read_text())
+        assert payload["coverage"]["kinds"] == {"suite": 1}
+        points = payload["trajectory"]["1313/cg/gpu"]
+        assert [(p["iterations"], p["time_s"]) for p in points] == [(40, 0.5)]
 
     def test_report_last_limits_records(self, ledger_env, tmp_path, capsys):
         for sid in (1313, 1313):

@@ -220,6 +220,31 @@ class TestCLI:
         assert refloat["speedup_vs_gpu"] > 0
         clear_run_caches()
 
+    @pytest.mark.parametrize("flag, value", [("--workers", "0"),
+                                             ("--timeout", "-1")])
+    def test_invalid_engine_flag_is_a_usage_error(self, capsys, flag,
+                                                  value):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["suite", "--scale", "test", "--sids", "1313",
+                      flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"got {value}" in err
+
+    @pytest.mark.parametrize("command", ["suite", "sweep", "serve"])
+    def test_engine_flags_accept_every_executor(self, command):
+        from repro.experiments.__main__ import _api_parser
+
+        required = (["--platform", "noisy", "--grid", "sigma=0.01"]
+                    if command == "sweep" else [])
+        for executor in ("serial", "process"):
+            args = _api_parser(command).parse_args(
+                required + ["--executor", executor, "--workers", "2"])
+            assert (args.executor, args.workers) == (executor, 2)
+        with pytest.raises(SystemExit):
+            _api_parser(command).parse_args(
+                required + ["--executor", "thread"])
+
     def test_solve_subcommand(self, capsys):
         clear_run_caches()
         code = cli_main(["solve", "--sid", "1311", "--solver", "cg",

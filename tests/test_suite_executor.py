@@ -27,10 +27,10 @@ def fresh_caches():
 class TestExecutorSelection:
     def test_env_selects_executor(self, monkeypatch):
         monkeypatch.delenv("REPRO_SUITE_EXECUTOR", raising=False)
-        assert common._suite_executor() == "thread"
+        assert common._suite_executor() == "serial"
         monkeypatch.setenv("REPRO_SUITE_EXECUTOR", "process")
         assert common._suite_executor() == "process"
-        assert common._suite_executor("thread") == "thread"  # arg wins
+        assert common._suite_executor("serial") == "serial"  # arg wins
 
     def test_invalid_env_names_var_and_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_EXECUTOR", "fibers")

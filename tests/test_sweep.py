@@ -254,18 +254,6 @@ class TestRunSweep:
         first = runs[0].results["gpu"]
         assert all(run.results["gpu"] is first for run in runs[1:])
 
-    def test_thread_executor_identical_to_serial(self, fresh_caches,
-                                                 drop_variants):
-        spec = SweepSpec(family="noisy", grid=self.GRID, sids=(355,),
-                         scale="test")
-        serial = run_sweep(spec, max_workers=1)
-        clear_run_caches()
-        threaded = run_sweep(spec, max_workers=4, executor="thread")
-        for token in spec.tokens():
-            a, b = serial.variant(token)[355], threaded.variant(token)[355]
-            assert a.times_s == b.times_s
-            assert np.array_equal(a.results[token].x, b.results[token].x)
-
     @pytest.mark.slow
     def test_process_executor_identical_to_serial(self, fresh_caches,
                                                   drop_variants):
