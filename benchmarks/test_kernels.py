@@ -18,6 +18,11 @@ import numpy as np
 import pytest
 
 from repro.formats import DEFAULT_SPEC, ReFloatSpec, quantize_values, quantize_vector
+from repro.formats.feinberg import (
+    FeinbergSpec,
+    quantize_vector_feinberg,
+    quantize_vector_feinberg_reference,
+)
 from repro.formats.refloat import vector_converter_plan
 from repro.operators import ExactOperator, FeinbergOperator, ReFloatOperator
 from repro.sparse import BlockedMatrix
@@ -76,6 +81,31 @@ def test_bench_spmv_feinberg(benchmark, matrix, vector):
     op = FeinbergOperator(matrix)
     y = benchmark(op.matvec, vector)
     assert y.shape == vector.shape
+
+
+@pytest.fixture(scope="module")
+def feinberg_case(matrix, vector):
+    """The matrix's anchor and a vector reaching 80 binades above its
+    window (the wrap case every non-converging Feinberg cell hits)."""
+    anchor = FeinbergOperator(matrix).anchor
+    rng = np.random.default_rng(4)
+    x = vector * np.exp2(rng.integers(-60, 80, vector.size) + anchor)
+    return x, anchor
+
+
+def test_bench_quantize_feinberg(benchmark, feinberg_case):
+    """The bit-pattern window (what ``FeinbergOperator.matvec`` runs)."""
+    x, anchor = feinberg_case
+    q = benchmark(quantize_vector_feinberg, x, anchor, FeinbergSpec())
+    assert q.shape == x.shape
+
+
+def test_bench_quantize_feinberg_reference(benchmark, feinberg_case):
+    """The decompose/compose reference of the same window."""
+    x, anchor = feinberg_case
+    q = benchmark(quantize_vector_feinberg_reference, x, anchor,
+                  FeinbergSpec())
+    assert q.shape == x.shape
 
 
 def test_bench_vector_converter_planned(benchmark, vector):

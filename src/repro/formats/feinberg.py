@@ -23,6 +23,14 @@ anchored at the matrix's maximum entry exponent:
 
 The anchor is computed once from the matrix ("the matrix value does not
 change") — this staleness is exactly the flaw the paper identifies.
+
+:func:`quantize_vector_feinberg` runs once per solver apply.  For a scalar
+anchor whose window lies in the normal exponent range (biased exponents
+1..2046, as every suite anchor's does) it works on the float64 bit pattern:
+one read of the exponent field, then integer masks per policy.
+:func:`quantize_vector_feinberg_reference` (decompose, select, compose) is
+its bit-identity oracle and runs every other anchor: per-element
+(``block_b``) anchors and windows reaching below the normal range.
 """
 
 from __future__ import annotations
@@ -32,7 +40,15 @@ import numpy as np
 
 from repro.formats import ieee
 
-__all__ = ["FeinbergSpec", "matrix_anchor_exponent", "quantize_vector_feinberg"]
+__all__ = [
+    "FeinbergSpec",
+    "matrix_anchor_exponent",
+    "quantize_vector_feinberg",
+    "quantize_vector_feinberg_reference",
+]
+
+_SHIFT = np.int64(ieee.FRAC_BITS)
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,11 @@ def matrix_anchor_exponent(matrix_values) -> int:
 def quantize_vector_feinberg(x, anchor, spec: FeinbergSpec) -> np.ndarray:
     """Push a vector through the [32] fixed-point window.
 
+    Bit-identical to :func:`quantize_vector_feinberg_reference`.  A scalar
+    ``anchor`` whose window ``[anchor - 2^exp_bits + 1, anchor]`` lies in the
+    normal exponent range takes the bit-pattern path; an array anchor, or a
+    window reaching below it, runs the reference.
+
     Parameters
     ----------
     x : array_like of float64
@@ -93,7 +114,45 @@ def quantize_vector_feinberg(x, anchor, spec: FeinbergSpec) -> np.ndarray:
 
     Returns
     -------
-    ndarray of float64 — the values the crossbar datapath actually sees.
+    ndarray of float64 — the values the crossbar datapath actually sees (a
+    new array; ``x`` is never written).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not isinstance(anchor, (int, np.integer)):
+        return quantize_vector_feinberg_reference(x, anchor, spec)
+    top = int(anchor) + ieee.EXP_BIAS  # biased window top
+    lo = top - spec.window + 1  # biased window bottom
+    if lo < 1 or top > 2046:
+        return quantize_vector_feinberg_reference(x, anchor, spec)
+
+    field = ieee.exponent_field(x, validate=False)
+    if field.max(initial=0) == 0x7FF:
+        raise ValueError(ieee.NONFINITE_MSG)
+    d = field.view(np.int64) - np.int64(lo)  # binades above the window bottom
+    bits = x.view(np.int64)
+    # Keep the sign, the exponent and the top frac_bits fraction bits.
+    out = bits & np.int64(-(1 << (ieee.FRAC_BITS - spec.frac_bits)))
+    if spec.policy == "wrap":
+        # Drop whole windows from the exponent: a value d binades above the
+        # bottom lands d mod 2^exp_bits above it.  In-window values keep d.
+        out -= (d & np.int64(-spec.window)) << _SHIFT
+    else:
+        above = d >= spec.window
+        if spec.policy == "clamp":
+            top_bits = np.int64(top << ieee.FRAC_BITS)
+            out[above] = (bits[above] & _SIGN_BIT) | top_bits
+        else:
+            out[above] = 0
+    # Zeros, subnormals and values below the window all become +0.0.
+    out[d < 0] = 0
+    return out.view(np.float64)
+
+
+def quantize_vector_feinberg_reference(x, anchor, spec: FeinbergSpec) -> np.ndarray:
+    """Reference :func:`quantize_vector_feinberg`: decompose, select, compose.
+
+    Same parameters and result.  The differential-test oracle, and the path
+    for array anchors and for windows reaching below the normal range.
     """
     x = np.asarray(x, dtype=np.float64)
     sign, exp, frac = ieee.decompose(x)

@@ -22,6 +22,7 @@ from repro.formats.feinberg import (
     matrix_anchor_exponent,
     quantize_vector_feinberg,
 )
+from repro.sparse.blocked import canonical_csr
 
 __all__ = ["FeinbergOperator", "FeinbergFcOperator"]
 
@@ -32,34 +33,32 @@ class FeinbergOperator:
     The padding window is anchored at the matrix's maximum entry exponent
     (``block_b=None``, the default): the crossbar mapping aligns its 64
     exponent slots against the largest stored value, and the input vector is
-    driven through that window.  Passing ``block_b`` anchors per block-column
-    instead (each column stripe's own max) — a strictly harsher model, kept
-    for ablation.
+    driven through that window; the scalar ``anchor`` takes the bit-pattern
+    path of :func:`quantize_vector_feinberg`.  Passing ``block_b`` anchors
+    per block-column instead (each column stripe's own max) — a strictly
+    harsher model, kept for ablation, whose per-element anchors run the
+    reference quantiser.
 
-    ``blocked`` optionally supplies a prebuilt
+    ``A`` is held as :func:`repro.sparse.blocked.canonical_csr` (a copy with
+    duplicates summed), so the anchor is the exponent of the entries the
+    SpMV multiplies by.  ``blocked`` optionally supplies a prebuilt
     :class:`repro.sparse.blocked.BlockedMatrix` whose canonical CSR is reused
     directly (``A`` is then ignored), so suite runs that already partitioned
-    the matrix pay no second conversion.
+    the matrix pay no second conversion.  The operator is read-only after
+    construction and may be shared across solves.
     """
 
     def __init__(self, A, spec: FeinbergSpec = FeinbergSpec(),
                  block_b: int = None, blocked=None):
         from repro.formats import ieee
 
-        if blocked is not None:
-            # Reuse a prebuilt partition's canonical CSR (duplicates summed,
-            # explicit zeros dropped) instead of re-converting the input.
-            self.A = blocked.A
-        else:
-            self.A = sp.csr_matrix(A, dtype=np.float64)
+        self.A = blocked.A if blocked is not None else canonical_csr(A)
         self.spec = spec
         self.block_b = block_b
         self.shape = self.A.shape
         self.anchor = matrix_anchor_exponent(self.A.data)  # global fallback
-        n_cols = self.A.shape[1]
-        if block_b is None:
-            self._per_elem_anchor = np.full(n_cols, self.anchor, dtype=np.int64)
-        else:
+        if block_b is not None:
+            n_cols = self.A.shape[1]
             _, exp, _ = ieee.decompose(self.A.data)
             seg = self.A.indices.astype(np.int64) >> block_b
             nseg = -(-n_cols // (1 << block_b))
@@ -82,13 +81,13 @@ class FeinbergOperator:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D (n, k), got shape {X.shape}")
-        Xq = quantize_vector_feinberg(X, self._per_elem_anchor[:, None],
-                                      self.spec)
-        return self.A @ Xq
+        anchor = (self.anchor if self.block_b is None
+                  else self._per_elem_anchor[:, None])
+        return self.A @ quantize_vector_feinberg(X, anchor, self.spec)
 
     def quantize_input(self, x: np.ndarray) -> np.ndarray:
-        return quantize_vector_feinberg(np.asarray(x, dtype=np.float64),
-                                        self._per_elem_anchor, self.spec)
+        anchor = self.anchor if self.block_b is None else self._per_elem_anchor
+        return quantize_vector_feinberg(x, anchor, self.spec)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"FeinbergOperator(exp_bits={self.spec.exp_bits}, "

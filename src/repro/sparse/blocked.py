@@ -35,7 +35,18 @@ from repro.formats.refloat import ReFloatSpec, quantize_values
 from repro.sparse.bsr import BSRBlocks
 from repro.util.validation import check_nonnegative_int
 
-__all__ = ["BlockedMatrix", "block_coordinates"]
+__all__ = ["BlockedMatrix", "block_coordinates", "canonical_csr"]
+
+
+def canonical_csr(A) -> sp.csr_matrix:
+    """A float64 CSR copy of ``A`` with duplicates summed, explicit zeros
+    eliminated and column indices sorted.  ``A`` itself is never modified
+    (``sp.csr_matrix`` alone would share a float64 CSR's arrays)."""
+    A = sp.csr_matrix(A, dtype=np.float64, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A
 
 
 def block_coordinates(A: sp.csr_matrix, b: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -63,10 +74,7 @@ class BlockedMatrix:
         b = check_nonnegative_int(b, "b")
         if b > 12:
             raise ValueError(f"b must be <= 12, got {b}")
-        A = sp.csr_matrix(A, dtype=np.float64, copy=True)
-        A.sum_duplicates()
-        A.eliminate_zeros()
-        A.sort_indices()
+        A = canonical_csr(A)
         if not np.all(np.isfinite(A.data)):
             raise ValueError("matrix contains non-finite values")
         self.A = A

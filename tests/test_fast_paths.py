@@ -6,6 +6,10 @@ around; these tests pin the equivalences:
 * plan-backed :func:`quantize_vector` vs :func:`quantize_vector_reference`
   (specs with ``ev = 0``, empty segments, lengths not a multiple of ``2^b``,
   all-zero vectors, exact-grid configs);
+* the bit-pattern :func:`quantize_vector_feinberg` vs
+  :func:`quantize_vector_feinberg_reference` (every spec and policy, anchors
+  on both sides of the normal-range boundary, subnormals, signed zeros,
+  ``±max`` and values far above the window);
 * the batched :class:`CrossbarMVM` contraction vs the cycle-accurate
   ``record_trace`` loop;
 * :class:`BlockedEngine` vs one :class:`ProcessingEngine` per occupied block;
@@ -21,8 +25,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats import DEFAULT_SPEC, ReFloatSpec
+from repro.formats import DEFAULT_SPEC, FeinbergSpec, ReFloatSpec
 from repro.formats import ieee
+from repro.formats.feinberg import (
+    quantize_vector_feinberg,
+    quantize_vector_feinberg_reference,
+)
 from repro.formats.refloat import (
     quantize_vector,
     quantize_vector_reference,
@@ -186,6 +194,122 @@ class TestConverterPlan:
         with pytest.raises(ValueError):
             ieee.exponent_field([1.0, np.inf])
         assert ieee.exponent_field([1.0, np.inf], validate=False)[1] == 0x7FF
+
+
+POLICIES = ("wrap", "clamp", "flush")
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _window_edge_array(rng, shape, anchor, spec):
+    """Doubles around and far from the window ``[anchor - 2^e + 1, anchor]``:
+    exponents over the whole binary64 range (subnormals included), a band
+    around the window reaching 64+ binades above it, and the edge values
+    (signed zeros, subnormals, ``±max``, the window's own edges)."""
+    n = int(np.prod(shape))
+    lo = anchor - spec.window + 1
+    exps = np.where(rng.random(n) < 0.5,
+                    rng.integers(-1080, 1024, n),
+                    rng.integers(lo - 4, anchor + 80, n))
+    mant = 1.0 + rng.random(n)
+    x = np.ldexp(mant, np.clip(exps, -1100, 1023)) * rng.choice([-1.0, 1.0], n)
+    edges = [0.0, -0.0, 5e-324, -2.5e-310, np.finfo(np.float64).max,
+             -np.finfo(np.float64).max, np.finfo(np.float64).tiny,
+             np.ldexp(1.0, min(anchor, 1023)),
+             -np.ldexp(1.75, min(anchor, 1023)),
+             np.ldexp(1.5, max(lo, -1074)), np.ldexp(1.0, max(lo - 1, -1074)),
+             np.ldexp(1.0, min(anchor + 1, 1023)),
+             np.ldexp(1.0, min(anchor + spec.window, 1023))]
+    pos = rng.integers(0, n, min(n, len(edges)))
+    x[pos] = np.asarray(edges[:pos.size])
+    return x.reshape(shape)
+
+
+@st.composite
+def _feinberg_cases(draw):
+    spec = FeinbergSpec(exp_bits=draw(st.integers(1, 11)),
+                        frac_bits=draw(st.integers(0, 52)),
+                        policy=draw(st.sampled_from(POLICIES)))
+    # Biased window bottom == 1 at this anchor: the bit-pattern path's edge.
+    boundary = spec.window - ieee.EXP_BIAS
+    anchor = draw(st.one_of(st.integers(-3, 3).map(lambda k: boundary + k),
+                            st.integers(-1080, 1023)))
+    shape = draw(st.one_of(st.tuples(st.integers(1, 80)),
+                           st.tuples(st.integers(1, 40), st.integers(1, 4))))
+    return spec, min(anchor, 1023), shape, draw(st.integers(0, 2 ** 31))
+
+
+class TestFeinbergBitPattern:
+    """The bit-pattern window vs the decompose/compose reference."""
+
+    @given(_feinberg_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_hypothesis(self, case):
+        spec, anchor, shape, seed = case
+        x = _window_edge_array(np.random.default_rng(seed), shape, anchor,
+                               spec)
+        for a in (anchor, np.int64(anchor)):
+            _assert_same_bits(quantize_vector_feinberg(x, a, spec),
+                              quantize_vector_feinberg_reference(x, a, spec))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("anchor", [-3, -960])
+    def test_nonfinite_raises_on_both_paths(self, rng, policy, bad, anchor):
+        spec = FeinbergSpec(policy=policy)
+        x = random_float_array(rng, 20)
+        x[7] = bad
+        for fn in (quantize_vector_feinberg,
+                   quantize_vector_feinberg_reference):
+            with pytest.raises(ValueError, match="finite"):
+                fn(x, anchor, spec)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_input_untouched_and_not_shared(self, rng, policy):
+        spec = FeinbergSpec(exp_bits=4, frac_bits=20, policy=policy)
+        x = _window_edge_array(rng, (64,), -3, spec)
+        kept = x.copy()
+        for view in (x, x[::2], np.asfortranarray(x.reshape(8, 8))):
+            out = quantize_vector_feinberg(view, -3, spec)
+            assert not np.shares_memory(out, x)
+            _assert_same_bits(
+                out, quantize_vector_feinberg_reference(view, -3, spec))
+        _assert_same_bits(x, kept)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_per_element_anchors_match_reference(self, rng, small_wathen,
+                                                 policy):
+        spec = FeinbergSpec(policy=policy)
+        op = FeinbergOperator(small_wathen, spec, block_b=5)
+        n = small_wathen.shape[0]
+        x = _window_edge_array(rng, (n,), op.anchor, spec)
+        _assert_same_bits(
+            op.quantize_input(x),
+            quantize_vector_feinberg_reference(x, op._per_elem_anchor, spec))
+        anchors = rng.integers(-40, 40, n)
+        _assert_same_bits(
+            quantize_vector_feinberg(x, anchors, spec),
+            quantize_vector_feinberg_reference(x, anchors, spec))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_cg_solve_matches_reference_quantiser(self, small_wathen,
+                                                  monkeypatch, policy):
+        import repro.operators.feinberg_op as feinberg_op
+        from repro.solvers import ConvergenceCriterion, cg
+
+        op = FeinbergOperator(small_wathen, FeinbergSpec(policy=policy))
+        b = small_wathen @ np.ones(small_wathen.shape[0])
+        crit = ConvergenceCriterion(max_iterations=400)
+        fast = cg(op, b, criterion=crit)
+        monkeypatch.setattr(feinberg_op, "quantize_vector_feinberg",
+                            quantize_vector_feinberg_reference)
+        ref = cg(op, b, criterion=crit)
+        assert fast.iterations == ref.iterations > 0
+        assert fast.matvecs == ref.matvecs
+        _assert_same_bits(fast.x, ref.x)
 
 
 class TestSegmentBasesReduceat:

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.formats import ReFloatSpec
+from repro.formats.feinberg import quantize_vector_feinberg_reference
 from repro.operators import (
     CountingOperator,
     ExactOperator,
@@ -15,6 +16,7 @@ from repro.operators import (
     TracingOperator,
     TruncatedOperator,
 )
+from repro.sparse.blocked import BlockedMatrix
 from repro.sparse.gallery import hex_mass_matrix, laplacian_2d, wathen
 
 
@@ -76,10 +78,32 @@ class TestFeinberg:
         assert np.any(q != b)
         assert np.any(q < b * 2.0 ** -32)  # catastrophic wrap somewhere
 
-    def test_global_anchor_mode(self):
+    def test_global_anchor_mode(self, rng):
+        # Every element is windowed against the one matrix anchor.
         A = laplacian_2d(6)
         op = FeinbergOperator(A, block_b=None)
-        assert np.all(op._per_elem_anchor == op.anchor)
+        n = A.shape[0]
+        x = rng.standard_normal(n) * np.exp2(rng.uniform(-80, 80, n))
+        expected = quantize_vector_feinberg_reference(
+            x, np.full(n, op.anchor), op.spec)
+        assert np.array_equal(op.quantize_input(x), expected)
+
+    def test_duplicate_entries_summed_like_partition(self):
+        # (0,0) stored twice as 0.75: the entry the SpMV applies is 1.5, so
+        # the window anchor is 0, as it is through BlockedMatrix.
+        A = sp.csr_matrix((np.array([0.75, 0.75, 0.5]), np.array([0, 0, 1]),
+                           np.array([0, 2, 3])), shape=(2, 2))
+        kept = (A.data.copy(), A.indices.copy(), A.indptr.copy())
+        op = FeinbergOperator(A)
+        ref = FeinbergOperator(None, blocked=BlockedMatrix(A))
+        assert op.anchor == ref.anchor == 0
+        assert (op.A != ref.A).nnz == 0
+        x = np.array([2.0 ** -63, 1.0])
+        assert np.array_equal(op.matvec(x), ref.matvec(x))
+        assert op.matvec(x)[1] == 0.5
+        for arr, before in zip((A.data, A.indices, A.indptr), kept):
+            assert np.array_equal(arr, before)
+        assert not A.has_canonical_format
 
     def test_fc_is_fp64(self, rng):
         A = wathen(5, 5, seed=4)
