@@ -12,9 +12,9 @@ interpreter — must attach to the store with **zero** matrix builds::
 
 Exits nonzero when ``--expect-zero-builds`` is violated (a build happened,
 or nothing was actually served from the store), when ``--expect-bsr-layout``
-finds a current-version entry without the contiguous block tensor (the
-store is still serving a pre-v2 layout), or when the environment is missing
-``REPRO_ASSET_STORE`` entirely.
+finds a current-version entry without the three index-only BSR arrays or
+with any array of more than one dimension (a dense block tensor crept
+back), or when the environment is missing ``REPRO_ASSET_STORE`` entirely.
 """
 
 import argparse
@@ -33,7 +33,8 @@ def main() -> int:
                         help="fail unless every asset came from the store")
     parser.add_argument("--expect-bsr-layout", action="store_true",
                         help="fail unless every current-version entry "
-                             "persists the contiguous BSR block tensor")
+                             "persists the index-only BSR layout and only "
+                             "1-D arrays")
     args = parser.parse_args()
 
     if not os.environ.get("REPRO_ASSET_STORE"):
@@ -73,11 +74,21 @@ def main() -> int:
             return 1
         missing = [e.name for e in entries
                    if not all((e / f"{name}.npy").is_file()
-                              for name in ("bsr_data", "bsr_indptr",
-                                           "bsr_indices", "bsr_scatter"))]
+                              for name in ("bsr_indptr", "bsr_indices",
+                                           "bsr_block_of_nnz"))]
         if missing:
-            print(f"store_smoke: entries without the contiguous BSR layout: "
+            print(f"store_smoke: entries without the index-only BSR layout: "
                   f"{missing}", file=sys.stderr)
+            return 1
+        dense = []
+        for e in entries:
+            specs = json.loads((e / "meta.json").read_text())["arrays"]
+            dense += [f"{e.name}/{name}{spec['shape']}"
+                      for name, spec in sorted(specs.items())
+                      if len(spec["shape"]) > 1]
+        if dense:
+            print(f"store_smoke: arrays with more than one dimension: "
+                  f"{dense}", file=sys.stderr)
             return 1
     return 0
 

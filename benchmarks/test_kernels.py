@@ -141,11 +141,12 @@ def test_bench_blocked_engine_mvm(benchmark, matrix):
 
 
 # ----------------------------------------------------------------------
-# BSR-path benches: the contiguous block layout as the engine operand.
+# BSR-path benches: the index-only block layout feeding the engine.
 
 
 def test_bench_blocked_engine_construction(benchmark, matrix):
-    """Building the signed-cell tensor straight from the BSR scatter map."""
+    """Building the signed-cell tensor from the CSR through the BSR layout's
+    per-nonzero block index."""
     from repro.hardware import BlockedEngine
 
     spec = ReFloatSpec(b=4, e=3, f=3, ev=3, fv=8)
@@ -156,7 +157,7 @@ def test_bench_blocked_engine_construction(benchmark, matrix):
 
 
 def test_bench_engine_construction_speedup_over_per_block(matrix):
-    """Asserted delta: one scatter-based BlockedEngine build beats the
+    """Asserted delta: one vectorised BlockedEngine build beats the
     per-block ProcessingEngine loop (the reference path it is pinned
     against) by >= 10x.  Timed directly (best-of-repeats) so the ratio is
     asserted, not just recorded."""
@@ -202,10 +203,10 @@ def test_bench_blocked_engine_matmat(benchmark, matrix):
 
 
 def test_bench_store_warm_attach(benchmark, tmp_path, monkeypatch, matrix):
-    """Memory-map attach of the contiguous BSR entry (trusted local store:
+    """Memory-map attach of the index-only BSR entry (trusted local store:
     verification off, the pure zero-reassembly path).  The functional
-    asserted delta: the attach rebuilds nothing — the tensor comes back as
-    the on-disk memmap."""
+    asserted delta: the attach rebuilds nothing — the canonical values and
+    the per-nonzero block index come back as the on-disk memmaps."""
     from repro.experiments import store
 
     monkeypatch.setenv("REPRO_ASSET_STORE", str(tmp_path / "assets"))
@@ -216,9 +217,9 @@ def test_bench_store_warm_attach(benchmark, tmp_path, monkeypatch, matrix):
 
     entry = benchmark(store.load_entry, 355, "test")
     assert entry is not None
-    data = entry.blocked.bsr.data
-    base = data if isinstance(data, np.memmap) else data.base
-    assert isinstance(base, np.memmap)
+    for arr in (entry.blocked.A.data, entry.blocked.bsr.block_of_nnz):
+        base = arr if isinstance(arr, np.memmap) else arr.base
+        assert isinstance(base, np.memmap)
     assert store.counters()["builds"] == 0
 
 

@@ -8,9 +8,11 @@ path wins — the store's reason to exist.
 
 Measured at ``default`` scale: at ``test`` scale the matrices are so small
 that per-entry fixed costs (open/stat/json) dominate and the comparison
-measures the filesystem, not the store.  At ``default`` scale the warm
-attach beats the cold rebuild by ~4-5x on a quiet machine; the assertion
-only requires parity-beating (>1x) so CI noise cannot flake it.
+measures the filesystem, not the store.  At ``default`` scale, with the
+index-only BSR layout, the warm attach took 72-103 ms against 245-324 ms
+for the cold rebuild (2.4-4.5x over 3 runs on a 2-vCPU VM, BLAS pinned to
+one thread); the assertion only requires parity-beating (>1x) so CI noise
+cannot flake it.
 
 Carries the ``bench`` marker — deselected from tier-1 runs (``pytest.ini``).
 """

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -662,8 +663,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if argv[0] == "store":
             if args.gc and args.max_mb is None:
                 parser.error("--gc requires --max-mb N")
-            if args.max_mb is not None and args.max_mb < 0:
-                parser.error("--max-mb must be >= 0")
+            if args.max_mb is not None and not (math.isfinite(args.max_mb)
+                                                and args.max_mb >= 0):
+                parser.error("--max-mb must be a finite number >= 0")
         if argv[0] == "sweep" and args.resume and args.journal is None:
             parser.error("--resume requires --journal")
         if argv[0] in _CONFIG_COMMANDS:

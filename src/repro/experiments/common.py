@@ -402,17 +402,21 @@ def _spec_token(spec: ReFloatSpec) -> str:
             f"-{spec.rounding}-{spec.underflow}-{spec.eb_policy}")
 
 
+def _quantized_key(spec: ReFloatSpec) -> str:
+    """Store extra-array name of the pre-quantised values for ``spec``."""
+    return f"refloat_q_{_spec_token(spec)}"
+
+
 def _store_extras(spec: ReFloatSpec, refloat_op: ReFloatOperator,
                   ) -> Dict[str, np.ndarray]:
-    """Extra arrays saved with a store entry: the pre-quantised matrix,
-    stored in the same contiguous BSR tensor layout as the canonical entry
-    (``ReFloatOperator`` gathers it back to CSR order bit-identically).
+    """Extra arrays saved with a store entry: the pre-quantised matrix
+    values, one per nonzero in canonical CSR order (``refloat_op.A.data``,
+    which ``ReFloatOperator(quantized=...)`` takes back as is).
 
     Keyed by the full spec identity, so a loader with a different default
     spec simply misses the extra and re-quantises — never reuses stale data.
     """
-    qbsr = refloat_op.blocked.bsr.scatter_values(refloat_op.A.data)
-    return {f"refloat_qbsr_{_spec_token(spec)}": qbsr}
+    return {_quantized_key(spec): refloat_op.A.data}
 
 
 def _load_or_build_assets(sid: int, scale: str) -> MatrixAssets:
@@ -426,12 +430,12 @@ def _load_or_build_assets(sid: int, scale: str) -> MatrixAssets:
     unset) for the next cold process.
     """
     spec = default_spec_for(sid)
-    qbsr_key = f"refloat_qbsr_{_spec_token(spec)}"
-    entry = store.load_entry(sid, scale, extras=(qbsr_key,))
+    q_key = _quantized_key(spec)
+    entry = store.load_entry(sid, scale, extras=(q_key,))
     if entry is not None:
         A, b, blocked = entry.A, entry.b, entry.blocked
         refloat_op = ReFloatOperator(None, spec, blocked=blocked,
-                                     quantized=entry.extras.get(qbsr_key))
+                                     quantized=entry.extras.get(q_key))
     else:
         store.note_build(sid, scale)
         A = PAPER_SUITE[sid].matrix(scale)

@@ -6,36 +6,37 @@ the solve kernels are fast, and it used to be repeated by every cold
 process: CI jobs, process-pool workers, back-to-back sweeps.  This module
 materialises the solver-independent part of a ``(sid, scale)`` asset —
 the CSR matrix, the paper right-hand side ``A @ 1`` and the partition's
-contiguous BSR layout — to a versioned, checksummed on-disk format that a
+index-only BSR layout — to a versioned, checksummed on-disk format that a
 cold process attaches to via ``np.load(..., mmap_mode="r")`` instead of
 regenerating.
 
 Layout
 ------
-Since v2 the canonical entry *is* the :class:`repro.sparse.bsr.BSRBlocks`
-layout — the accelerator's native operand shape — so a worker memory-maps
-one ``(n_blocks, 2^b, 2^b)`` tensor with zero reassembly.  The canonical
-CSR value array is *not* stored twice: it gathers bit-identically from the
-tensor through the scatter map.  The grouping arrays v1 persisted
-(``order``, ``group_starts``, ...) derive lazily on attach and are gone
-from disk.  Old ``v1/`` roots read as misses and age out via GC.
+Since v3 every array in an entry is 1-D, O(n + nnz) in all: the CSR
+arrays plus the three index arrays of :class:`repro.sparse.bsr.BSRBlocks`
+(block ``indptr``/``indices`` and the per-nonzero ``block_of_nnz``).  A
+worker memory-maps them and reassembles nothing.  v2 stored every occupied
+block as a dense ``2^b x 2^b`` float64 tile (128 KiB per block at b=7);
+v1 stored the grouping arrays (``order``, ``group_starts``, ...), which
+derive lazily on attach.  Old ``v1/`` and ``v2/`` roots read as misses and
+age out via GC.
 
 ::
 
     $REPRO_ASSET_STORE/
-      v2/                                # bump STORE_VERSION to invalidate
+      v3/                                # bump STORE_VERSION to invalidate
         <sid>-<scale>/                   # one atomically-published entry
           meta.json                      # version, shapes, dtypes, crc32s
           A_data.npy A_indices.npy A_indptr.npy     # matrix as generated
-          C_indices.npy C_indptr.npy                # canonical CSR pattern
-                                                    #   (only when A is not
-                                                    #   already canonical;
-                                                    #   values gather from
-                                                    #   the BSR tensor)
+          C_data.npy C_indices.npy C_indptr.npy     # canonical CSR (only
+                                                    #   when A is not
+                                                    #   already canonical)
           b.npy                                     # RHS = A @ ones
-          bsr_data.npy                              # (n_blocks, 2^b, 2^b)
           bsr_indptr.npy bsr_indices.npy            # block BSR indexing
-          bsr_scatter.npy                           # dense<->CSR map
+          bsr_block_of_nnz.npy                      # block of each nonzero
+          refloat_q_<spec>.npy                      # caller extra: the
+                                                    #   quantised values,
+                                                    #   canonical CSR order
 
 Every array file's CRC32 is recorded in ``meta.json``; a load verifies
 version, dtypes, shapes and checksums, and *any* mismatch — truncation,
@@ -100,11 +101,12 @@ __all__ = [
 #: On-disk format version; bump when the layout *or* the suite generators
 #: change, so stale entries read as misses instead of wrong data.
 #: v2: contiguous BSR layout replaces the v1 block-grouping arrays.
-STORE_VERSION = 2
+#: v3: the BSR layout is index-only; no dense block tiles on disk.
+STORE_VERSION = 3
 
-_BSR_ARRAYS = ("bsr_data", "bsr_indptr", "bsr_indices", "bsr_scatter")
+_BSR_ARRAYS = ("bsr_indptr", "bsr_indices", "bsr_block_of_nnz")
 _ORIGINAL_CSR = ("A_data", "A_indices", "A_indptr")
-_CANONICAL_CSR = ("C_indices", "C_indptr")
+_CANONICAL_CSR = ("C_data", "C_indices", "C_indptr")
 #: Every array name the core layout may use; anything else in an entry is a
 #: caller-owned extra.  The single source of truth for save-side collision
 #: checks and load-side required/extra classification.
@@ -231,11 +233,10 @@ def save_entry(sid: int, scale: str, A, b: np.ndarray,
 
     ``A`` is the matrix *as generated* (it backs the exact operator and the
     RHS, so its nonzero order must round-trip bit-exactly); ``blocked`` is
-    persisted as its contiguous BSR layout — ``blocked.A``'s value array
-    gathers bit-identically from the tensor, so only its CSR *pattern* is
-    stored, and only when it differs from ``A``.  ``extras`` are additional
-    caller-owned arrays (e.g. pre-quantised matrix data keyed by format
-    spec, stored in the same BSR tensor layout) checksummed and
+    persisted as its index-only BSR layout plus its canonical CSR
+    ``blocked.A`` — the latter only when it differs from ``A``.  ``extras``
+    are additional caller-owned arrays (e.g. pre-quantised matrix values in
+    canonical CSR order, keyed by format spec) checksummed and
     round-tripped verbatim; their names must not collide with the core
     layout.  The entry is written to a
     temporary sibling and published atomically — losing a publish race to a
@@ -257,12 +258,13 @@ def save_entry(sid: int, scale: str, A, b: np.ndarray,
     canonical_shared = _same_csr(A, blocked.A)
     if not canonical_shared:
         c_arrays, _ = csr_to_arrays(blocked.A)
-        arrays.update(zip(_CANONICAL_CSR, (c_arrays["indices"],
+        arrays.update(zip(_CANONICAL_CSR, (c_arrays["data"],
+                                           c_arrays["indices"],
                                            c_arrays["indptr"])))
     arrays["b"] = np.asarray(b, dtype=np.float64)
     bsr = blocked.bsr
-    arrays.update(zip(_BSR_ARRAYS, (bsr.data, bsr.indptr, bsr.indices,
-                                    bsr.scatter)))
+    arrays.update(zip(_BSR_ARRAYS, (bsr.indptr, bsr.indices,
+                                    bsr.block_of_nnz)))
     for name, arr in (extras or {}).items():
         if name in _CORE_ARRAYS:
             raise ValueError(f"extra array name {name!r} collides with the "
@@ -424,22 +426,20 @@ def load_entry(sid: int, scale: str, mmap: bool = True,
                                 arrays["A_indptr"], shape,
                                 canonical=meta["canonical_shared"],
                                 checked=checked)
-            # BSRBlocks runs its cheap structural validation on attach;
-            # the full scatter-injectivity scan only under store_verify
-            # (matching the checksum policy: trusted stores stay lazy).
-            bsr = BSRBlocks(meta["block_b"], shape, arrays["bsr_data"],
-                            arrays["bsr_indptr"], arrays["bsr_indices"],
-                            arrays["bsr_scatter"])
-            if checked:
-                bsr.check_scatter_unique()
             if meta["canonical_shared"]:
                 C = A
             else:
-                # Canonical values gather bit-identically from the tensor;
-                # only the CSR pattern is persisted.
-                C = csr_from_arrays(bsr.csr_data(), arrays["C_indices"],
+                C = csr_from_arrays(arrays["C_data"], arrays["C_indices"],
                                     arrays["C_indptr"], shape, canonical=True,
                                     checked=checked)
+            # BSRBlocks runs its cheap structural validation on attach;
+            # the per-nonzero block check against C only under
+            # store_verify (matching the checksum policy: trusted stores
+            # stay lazy).
+            bsr = BSRBlocks(meta["block_b"], shape, arrays["bsr_indptr"],
+                            arrays["bsr_indices"], arrays["bsr_block_of_nnz"])
+            if checked:
+                bsr.check_matches(C)
             blocked = BlockedMatrix.from_bsr(C, bsr)
             if arrays["b"].shape != (shape[0],):
                 raise _EntryInvalid(

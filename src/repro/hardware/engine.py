@@ -227,9 +227,11 @@ class BlockedEngine:
     ``"cover"`` policy (the hardware padding alignment), regardless of
     ``spec.eb_policy``.
 
-    Memory: the dense cell tensor costs ``8 * n_blocks * 4^b`` bytes — fine
-    for the functional-simulation scales this class targets; production SpMV
-    goes through :class:`repro.operators.ReFloatOperator`'s CSR shortcut.
+    Memory: the dense int64 cell tensor is this class's own operand and
+    costs ``8 * n_blocks * 4^b`` bytes — fine for the functional-simulation
+    scales it targets.  The partition it reads stays index-only (O(nnz));
+    production SpMV goes through :class:`repro.operators.ReFloatOperator`'s
+    CSR shortcut and never builds a tile.
     """
 
     def __init__(self, blocked: BlockedMatrix, spec: ReFloatSpec):
@@ -257,11 +259,13 @@ class BlockedEngine:
         if blocked.nnz:
             # per_nnz_eb would recompute exponent_bases; gather self.eb
             # (already the cover bases, block-grouped) per nonzero, then
-            # drop the signed cells straight through the BSR scatter map —
-            # same cell, same value as the old order/repeat indirection.
-            signed, _ = _aligned_cells(blocked.A.data,
-                                       self.eb[bsr.block_of_nnz], spec)
-            cells.reshape(-1)[bsr.scatter] = signed
+            # write each signed cell at (its block, its in-block position).
+            A = blocked.A
+            g = bsr.block_of_nnz
+            signed, _ = _aligned_cells(A.data, self.eb[g], spec)
+            rows = np.repeat(np.arange(A.shape[0], dtype=np.int64),
+                             np.diff(A.indptr))
+            cells[g, rows & (size - 1), A.indices & (size - 1)] = signed
         self._cells = cells
         self._plan = vector_converter_plan(blocked.shape[0], spec)
 

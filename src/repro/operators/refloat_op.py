@@ -49,13 +49,11 @@ class ReFloatOperator:
         already holds one for its own accounting.
     quantized : ndarray, optional
         The pre-quantised matrix values, e.g. reloaded from the persistent
-        asset store.  Either a 1-D ``(nnz,)`` array — exactly
-        ``blocked.quantize(spec).data`` — or a 3-D BSR-layout tensor shaped
-        like ``blocked.bsr.data`` (the store's native extra layout), which
-        is gathered through the scatter map back to CSR order
-        bit-identically.  Skips the quantisation pass; the caller vouches
-        that the data matches ``(blocked, spec)`` (the store checksums it
-        and keys it by spec).  Only valid together with ``blocked``.
+        asset store: a 1-D ``(nnz,)`` array in canonical CSR order, exactly
+        ``blocked.quantize(spec).data``.  Skips the quantisation pass; the
+        caller vouches that the data matches ``(blocked, spec)`` (the store
+        checksums it and keys it by spec).  Only valid together with
+        ``blocked``.
 
     Attributes
     ----------
@@ -82,15 +80,7 @@ class ReFloatOperator:
         self.blocked = blocked
         self.exact = self.blocked.A
         if quantized is not None:
-            if quantized.ndim == 3:
-                bsr = self.blocked.bsr
-                if quantized.shape != bsr.data.shape:
-                    raise ValueError(
-                        f"quantized BSR tensor has shape {quantized.shape}, "
-                        f"layout expects {bsr.data.shape}")
-                quantized = np.ascontiguousarray(
-                    quantized, dtype=np.float64).reshape(-1)[bsr.scatter]
-            elif quantized.shape != self.exact.data.shape:
+            if quantized.shape != self.exact.data.shape:
                 raise ValueError(
                     f"quantized data has {quantized.shape[0]} values, "
                     f"matrix has {self.exact.nnz} nonzeros")

@@ -2,15 +2,18 @@
 
 A :class:`BlockedMatrix` partitions a CSR matrix into ``2^b x 2^b`` square
 blocks — the unit mapped onto one crossbar cluster — and exposes the
-partition through a contiguous :class:`repro.sparse.bsr.BSRBlocks` view
-(``.bsr``): one ``(n_blocks, 2^b, 2^b)`` float64 tensor plus block
-``indptr``/``indices`` and the dense<->CSR ``scatter`` map.  Everything
-block-granular derives from that view, fully vectorised:
+partition through an index-only :class:`repro.sparse.bsr.BSRBlocks` view
+(``.bsr``): block ``indptr``/``indices`` plus ``block_of_nnz``, the block of
+each canonical-CSR nonzero.  Values stay in the canonical CSR (``.A``), so
+the partition costs O(nnz) memory however sparse its blocks are.
+Everything block-granular derives from the CSR through that view, fully
+vectorised:
 
 * the per-block optimal ReFloat exponent base ``eb`` (Eq. 5) and the exact
-  per-block exponent spread (the "locality" of Fig. 3d) — axis reductions
-  over the tensor;
-* ``dense_block`` — an O(1) tensor slice (what one crossbar cluster holds);
+  per-block exponent spread (the "locality" of Fig. 3d) — per-block
+  reductions of the per-nonzero exponents over ``block_of_nnz``;
+* ``dense_block`` — one tile built on demand from the block's nonzeros
+  (what one crossbar cluster holds);
 * the ReFloat-quantised matrix as a plain CSR with the same sparsity
   pattern (functionally what the crossbars compute, see Eq. 9), via a
   single per-nonzero gather of the block bases;
@@ -107,11 +110,11 @@ class BlockedMatrix:
 
     @cached_property
     def bsr(self) -> BSRBlocks:
-        """The contiguous BSR view — every block consumer's operand layout.
+        """The index-only BSR view — every block consumer's block structure.
 
-        Built once per partition (``8 * n_blocks * 4^b`` bytes); a
-        store-attached partition arrives with this view pre-populated from
-        the memory-mapped tensor, so nothing is rebuilt.
+        Built once per partition (O(nnz) integers); a store-attached
+        partition arrives with this view pre-populated from the
+        memory-mapped index arrays, so nothing is rebuilt.
         """
         return BSRBlocks.from_partition(self.A, self.b, self.block_grid,
                                         self.order, self.block_keys,
@@ -229,11 +232,11 @@ class BlockedMatrix:
     def from_bsr(cls, A: sp.csr_matrix, bsr: BSRBlocks) -> "BlockedMatrix":
         """Attach a partition to a prebuilt :class:`BSRBlocks` view.
 
-        The asset-store load path: ``A`` is the canonical CSR (its ``data``
-        gathers bit-identically from the tensor) and ``bsr`` the
-        memory-mapped layout.  The grouping arrays (``order``,
-        ``group_starts``, ...) derive lazily on first access; the hot paths
-        (quantisation, the engine, ``dense_block``) never need them.
+        The asset-store load path: ``A`` is the canonical CSR (values and
+        in-block positions) and ``bsr`` the memory-mapped index layout.
+        The grouping arrays (``order``, ``group_starts``, ...) derive
+        lazily on first access; the hot paths (quantisation, the engine)
+        never need them, and ``dense_block`` derives them on first use.
         """
         nnz = int(A.nnz)
         if bsr.shape != tuple(A.shape):
@@ -282,20 +285,26 @@ class BlockedMatrix:
         """One ``2^b x 2^b`` dense block, zero-padded at ragged edges.
 
         This is exactly what a single crossbar cluster holds — the unit a
-        :class:`repro.hardware.engine.ProcessingEngine` consumes.  An O(1)
-        binary search in the block row plus one tensor-slice copy;
-        unoccupied blocks come back as zeros.
+        :class:`repro.hardware.engine.ProcessingEngine` consumes.  A binary
+        search in the block row finds the block; its nonzeros (an
+        ``order``/``group_starts`` slice of the canonical CSR) are written
+        into a fresh zero tile.  Unoccupied blocks come back as zeros.
         """
         size = self.block_size
         nbr, nbc = self.block_grid
         if not (0 <= bi < nbr and 0 <= bj < nbc):
             raise IndexError(f"block ({bi}, {bj}) outside grid {self.block_grid}")
+        tile = np.zeros((size, size), dtype=np.float64)
         bsr = self.bsr
         lo, hi = int(bsr.indptr[bi]), int(bsr.indptr[bi + 1])
         pos = lo + int(np.searchsorted(bsr.indices[lo:hi], bj))
         if pos < hi and int(bsr.indices[pos]) == bj:
-            return np.array(bsr.data[pos], dtype=np.float64)
-        return np.zeros((size, size), dtype=np.float64)
+            start = int(self.group_starts[pos])
+            nz = self.order[start:start + int(self.block_nnz[pos])]
+            rows = np.searchsorted(self.A.indptr, nz, side="right") - 1
+            tile[rows & (size - 1), self.A.indices[nz] & (size - 1)] = \
+                self.A.data[nz]
+        return tile
 
     # ------------------------------------------------------------------
     @cached_property
@@ -305,26 +314,25 @@ class BlockedMatrix:
 
     @cached_property
     def _block_exp_extrema(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-block (max, min) stored exponent, from tensor axis reductions.
+        """Per-block (max, min) stored exponent of the block's nonzeros.
 
-        The IEEE exponent is monotone in magnitude (with subnormals mapping
-        to the ``EXP_ZERO`` sentinel below every normal exponent, exactly as
-        :func:`repro.formats.ieee.decompose` reports them), so the blockwise
-        extreme exponents are the exponents of the blockwise extreme
-        magnitudes — two axis reductions over the tensor plus one
-        ``n_blocks``-sized decompose, instead of per-nonzero reduceat.
-        Unoccupied cells are excluded: exactly zero, they never win the max
-        (every block holds a nonzero) and are masked to ``inf`` for the min.
+        ``np.maximum.at`` / ``np.minimum.at`` of the cached per-nonzero
+        exponents over ``bsr.block_of_nnz`` — no grouping sort.  The IEEE
+        exponent is monotone in magnitude (with subnormals mapping to the
+        ``EXP_ZERO`` sentinel below every normal exponent, exactly as
+        :func:`repro.formats.ieee.decompose` reports them), so these are
+        also the exponents of the blockwise extreme magnitudes.
         """
         if self.n_blocks == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
-        mags = np.abs(self.bsr.data)
-        peak = mags.max(axis=(1, 2))
-        low = np.where(mags != 0.0, mags, np.inf).min(axis=(1, 2))
-        mx = ieee.decompose(peak)[1].astype(np.int64)
-        mn = ieee.decompose(low)[1].astype(np.int64)
-        return mx, mn
+        exps = self._exponents
+        g = self.bsr.block_of_nnz
+        mx = np.full(self.n_blocks, np.iinfo(exps.dtype).min, exps.dtype)
+        mn = np.full(self.n_blocks, np.iinfo(exps.dtype).max, exps.dtype)
+        np.maximum.at(mx, g, exps)
+        np.minimum.at(mn, g, exps)
+        return mx.astype(np.int64), mn.astype(np.int64)
 
     @cached_property
     def block_eb(self) -> np.ndarray:

@@ -1,29 +1,27 @@
-"""Contiguous block-sparse-row (BSR) layout — the single block representation.
+"""Index-only block-sparse-row (BSR) layout — the single block representation.
 
-A :class:`BSRBlocks` holds every occupied ``2^b x 2^b`` block of a sparse
-matrix as one contiguous ``(n_blocks, 2^b, 2^b)`` float64 tensor plus the
-classic BSR index arrays (block ``indptr`` over block rows, block column
-``indices``), mirroring the fealpy ``BSRMatrix`` layout.  It is what every
-block consumer operates on:
+A :class:`BSRBlocks` describes every occupied ``2^b x 2^b`` block of a
+sparse matrix with the classic BSR index arrays (block ``indptr`` over
+block rows, block column ``indices``, mirroring the fealpy ``BSRMatrix``
+layout) plus one per-nonzero array, :attr:`BSRBlocks.block_of_nnz`: the
+block index ``g`` of each nonzero of the canonical CSR matrix, in CSR
+order.  It holds no values.  A nonzero's value and in-block position
+(``row & (2^b - 1)``, ``col & (2^b - 1)``) already live in the canonical
+CSR, so the layout costs O(nnz) integers however sparse the blocks are —
+the Sec. IV-A format likewise charges in-block indices per nonzero, not
+per cell.  Every block consumer reads the CSR through it:
 
-* :class:`repro.sparse.blocked.BlockedMatrix` derives its exponent
-  statistics from axis reductions over the tensor and serves
-  ``dense_block`` as an O(1) slice;
-* :class:`repro.hardware.engine.BlockedEngine` scatters its signed-cell
-  tensor through one precomputed flat index instead of per-nonzero
-  ``order``/``repeat`` indirection;
-* the asset store (:mod:`repro.experiments.store`) persists the tensor and
-  index arrays directly, so a cold worker memory-maps the accelerator's
-  native operand layout with zero reassembly.
-
-The bridge back to CSR is :attr:`BSRBlocks.scatter` — for each nonzero of
-the canonical CSR matrix, in CSR order, the flat index of its cell in
-``data.reshape(-1)``.  A gather through it (:meth:`csr_data`) reproduces the
-CSR value array *bit-identically*, which is what keeps every refactored
-fast path pinned to its per-block reference.
+* :class:`repro.sparse.blocked.BlockedMatrix` reduces the per-nonzero
+  exponents over ``block_of_nnz`` for its block statistics and builds
+  ``dense_block`` tiles on demand;
+* :class:`repro.hardware.engine.BlockedEngine` writes its signed cells at
+  ``(block_of_nnz, row & m, col & m)``;
+* the asset store (:mod:`repro.experiments.store`) persists the three index
+  arrays next to the canonical CSR, so a warm attach memory-maps O(nnz)
+  arrays and reassembles nothing.
 
 Blocks are addressed in block-row-major order of the *occupied* blocks
-only (the same order ``BlockedMatrix.block_keys`` always used), so tensor
+only (the same order ``BlockedMatrix.block_keys`` always used), so block
 index ``g`` means the same block everywhere.
 """
 
@@ -41,45 +39,42 @@ __all__ = ["BSRBlocks"]
 
 
 class BSRBlocks:
-    """Occupied blocks of a ``2^b``-partitioned sparse matrix, contiguously.
+    """Occupied blocks of a ``2^b``-partitioned sparse matrix, index only.
 
     Parameters
     ----------
     b : int
         log2 of the (square) block edge.
     shape : (n_rows, n_cols)
-        Shape of the underlying matrix (blocks at ragged edges are
-        zero-padded in the tensor).
-    data : (n_blocks, 2^b, 2^b) float64 ndarray
-        Dense contents of every occupied block, block-row-major.
+        Shape of the underlying matrix (blocks at ragged edges are partial).
     indptr : (n_block_rows + 1,) integer ndarray
-        Block-row pointer into ``indices``/``data`` (classic BSR).
+        Block-row pointer into ``indices`` (classic BSR).
     indices : (n_blocks,) integer ndarray
         Block-column index of each occupied block, ascending within each
         block row.
-    scatter : (nnz,) integer ndarray
+    block_of_nnz : (nnz,) integer ndarray
         For each nonzero of the canonical CSR matrix, in CSR order, the
-        flat index of its cell in ``data.reshape(-1)`` — the dense<->CSR
-        bridge that keeps gathers bit-identical.
+        index ``g`` of its block — the bridge from the CSR's values and
+        in-block positions to the block structure.
     checked : bool
         Run the always-on structural validation (shapes, bounds, sorted
         block columns).  Constructors that just built the arrays pass
         ``False``; anything attaching to external data (the asset store)
-        keeps the default.
+        keeps the default.  :meth:`check_matches` is the deeper check
+        against the matrix itself.
 
     All arrays may be read-only (e.g. memory-mapped); nothing here writes
     to them.
     """
 
-    def __init__(self, b: int, shape: Tuple[int, int], data: np.ndarray,
-                 indptr: np.ndarray, indices: np.ndarray,
-                 scatter: np.ndarray, checked: bool = True):
+    def __init__(self, b: int, shape: Tuple[int, int], indptr: np.ndarray,
+                 indices: np.ndarray, block_of_nnz: np.ndarray,
+                 checked: bool = True):
         self.b = check_nonnegative_int(b, "b")
         self.shape = (int(shape[0]), int(shape[1]))
-        self.data = data
         self.indptr = indptr
         self.indices = indices
-        self.scatter = scatter
+        self.block_of_nnz = block_of_nnz
         if checked:
             self._check_structure()
 
@@ -90,11 +85,11 @@ class BSRBlocks:
 
     @property
     def n_blocks(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.indices.shape[0])
 
     @property
     def nnz(self) -> int:
-        return int(self.scatter.shape[0])
+        return int(self.block_of_nnz.shape[0])
 
     @property
     def block_grid(self) -> Tuple[int, int]:
@@ -109,13 +104,6 @@ class BSRBlocks:
                          np.diff(self.indptr.astype(np.int64)))
 
     @cached_property
-    def block_of_nnz(self) -> np.ndarray:
-        """Tensor block index ``g`` of each CSR nonzero, in CSR order."""
-        cell = self.block_size ** 2
-        return (self.scatter.astype(np.int64) // cell
-                if self.nnz else np.zeros(0, dtype=np.int64))
-
-    @cached_property
     def block_nnz(self) -> np.ndarray:
         """Nonzero count of each occupied block."""
         return np.bincount(self.block_of_nnz,
@@ -124,13 +112,9 @@ class BSRBlocks:
     # ------------------------------------------------------------------
     def _check_structure(self) -> None:
         """Cheap always-on consistency checks (O(nnz) scans, no sorting)."""
-        size = self.block_size
         nbr, nbc = self.block_grid
         G = self.n_blocks
-        if self.data.ndim != 3 or self.data.shape[1:] != (size, size):
-            raise ValueError(
-                f"data must be (n_blocks, {size}, {size}), got {self.data.shape}")
-        for name in ("indptr", "indices", "scatter"):
+        for name in ("indptr", "indices", "block_of_nnz"):
             arr = getattr(self, name)
             if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(
@@ -147,10 +131,6 @@ class BSRBlocks:
         diffs = np.diff(self.indptr.astype(np.int64))
         if diffs.size and int(diffs.min()) < 0:
             raise ValueError("indptr must be non-decreasing")
-        if self.indices.shape[0] != G:
-            raise ValueError(
-                f"indices must have one entry per block ({G}), got "
-                f"{self.indices.shape[0]}")
         if G and (int(self.indices.min()) < 0
                   or int(self.indices.max()) >= nbc):
             raise ValueError(
@@ -166,18 +146,33 @@ class BSRBlocks:
                 raise ValueError(
                     "block columns must be strictly ascending within each "
                     "block row")
-        if self.nnz and (int(self.scatter.min()) < 0
-                         or int(self.scatter.max()) >= G * size * size):
+        g = self.block_of_nnz
+        if self.nnz and (int(g.min()) < 0 or int(g.max()) >= G):
             raise ValueError(
-                f"scatter indices must lie in [0, {G * size * size}), got "
-                f"[{int(self.scatter.min())}, {int(self.scatter.max())}]")
+                f"block_of_nnz entries must lie in [0, {G}), got "
+                f"[{int(g.min())}, {int(g.max())}]")
 
-    def check_scatter_unique(self) -> None:
-        """Full injectivity check of ``scatter`` (each cell holds at most one
-        nonzero).  O(nnz log nnz) — run under ``store_verify``, not on every
-        attach."""
-        if self.nnz and np.unique(self.scatter).size != self.nnz:
-            raise ValueError("scatter maps two nonzeros to the same cell")
+    def check_matches(self, A: sp.csr_matrix) -> None:
+        """Require the layout to describe ``A``'s occupied blocks exactly.
+
+        Recomputes each nonzero's ``(row >> b, col >> b)`` and requires it
+        to equal ``(block_rows[g], indices[g])`` for its ``g`` in
+        :attr:`block_of_nnz`, and every block to hold a nonzero.  ``A`` is
+        the canonical CSR the layout indexes.  O(nnz) — run under
+        ``store_verify``, not on every attach.
+        """
+        if tuple(A.shape) != self.shape or int(A.nnz) != self.nnz:
+            raise ValueError(
+                f"layout is for {self.shape} with {self.nnz} nonzeros, "
+                f"matrix is {A.shape} with {A.nnz}")
+        g = self.block_of_nnz
+        rows = np.repeat(np.arange(A.shape[0], dtype=np.int64),
+                         np.diff(A.indptr))
+        if not (np.array_equal(rows >> self.b, self.block_rows[g])
+                and np.array_equal(A.indices >> self.b, self.indices[g])):
+            raise ValueError("block_of_nnz puts a nonzero in the wrong block")
+        if self.n_blocks and int(self.block_nnz.min()) == 0:
+            raise ValueError("the layout lists a block with no nonzero")
 
     # ------------------------------------------------------------------
     @classmethod
@@ -185,7 +180,7 @@ class BSRBlocks:
                        block_grid: Tuple[int, int], order: np.ndarray,
                        block_keys: np.ndarray, block_nnz: np.ndarray,
                        ) -> "BSRBlocks":
-        """Materialise the tensor from a :class:`BlockedMatrix` partition.
+        """Build the layout from a :class:`BlockedMatrix` partition.
 
         ``A`` must be the canonical CSR (sorted, duplicate-free) the
         partition was computed from; ``order``/``block_keys``/``block_nnz``
@@ -193,72 +188,20 @@ class BSRBlocks:
         ascending-``block_keys`` order, i.e. block-row-major over occupied
         blocks — identical to the partition's group order, so per-block
         quantities (exponent bases, engine cells) index both the same way.
+        ``block_of_nnz`` takes ``A``'s index dtype: it always fits, because
+        there are never more blocks than nonzeros.
         """
-        size = 1 << b
         nbr, nbc = block_grid
         G = int(block_keys.shape[0])
-        nnz = int(A.nnz)
         block_keys = block_keys.astype(np.int64)
-        block_row_of_g = block_keys // nbc
-        indices = block_keys % nbc
         indptr = np.zeros(nbr + 1, dtype=np.int64)
-        np.cumsum(np.bincount(block_row_of_g, minlength=nbr), out=indptr[1:])
-
-        rows = np.repeat(np.arange(A.shape[0], dtype=np.int64),
-                         np.diff(A.indptr))
-        cols = A.indices.astype(np.int64)
-        g_of_nnz = np.empty(nnz, dtype=np.int64)
-        g_of_nnz[order] = np.repeat(np.arange(G, dtype=np.int64), block_nnz)
-        scatter = (g_of_nnz * (size * size)
-                   + (rows & (size - 1)) * size + (cols & (size - 1)))
-        data = np.zeros((G, size, size), dtype=np.float64)
-        data.reshape(-1)[scatter] = A.data
-        self = cls(b, A.shape, data, indptr, indices, scatter, checked=False)
-        # The division in block_of_nnz would just recompute this.
-        self.__dict__["block_of_nnz"] = g_of_nnz
-        return self
-
-    # ------------------------------------------------------------------
-    def csr_data(self) -> np.ndarray:
-        """The CSR value array, gathered from the tensor — bit-identical to
-        the canonical matrix's ``data`` (each nonzero occupies exactly one
-        cell and the gather copies it unchanged)."""
-        return self.data.reshape(-1)[self.scatter]
-
-    def scatter_values(self, values: np.ndarray) -> np.ndarray:
-        """A new ``(n_blocks, 2^b, 2^b)`` float64 tensor holding ``values``
-        (one per CSR nonzero, CSR order) in this layout — e.g. pre-quantised
-        matrix data stored next to :attr:`data` in the asset store."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.scatter.shape:
-            raise ValueError(
-                f"need one value per nonzero ({self.nnz}), got shape "
-                f"{values.shape}")
-        out = np.zeros_like(self.data, subok=False)
-        out.reshape(-1)[self.scatter] = values
-        return out
-
-    def to_csr(self) -> sp.csr_matrix:
-        """Reconstruct the canonical CSR matrix from the layout.
-
-        Walks :attr:`scatter` (which is in CSR order by construction), so
-        the result's ``data``/``indices``/``indptr`` are bit-identical to
-        the canonical matrix the layout was built from — the round-trip the
-        BSR tests pin.
-        """
-        from repro.sparse.mmio import csr_from_arrays
-
-        size = self.block_size
-        cell = size * size
-        flat = self.scatter.astype(np.int64)
-        g = flat // cell
-        rem = flat % cell
-        rows = self.block_rows[g] * size + rem // size
-        cols = self.indices.astype(np.int64)[g] * size + rem % size
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.shape[0]), out=indptr[1:])
-        return csr_from_arrays(self.data.reshape(-1)[flat], cols, indptr,
-                               self.shape, canonical=True)
+        np.cumsum(np.bincount(block_keys // nbc, minlength=nbr),
+                  out=indptr[1:])
+        block_of_nnz = np.empty(int(A.nnz), dtype=A.indices.dtype)
+        block_of_nnz[order] = np.repeat(
+            np.arange(G, dtype=A.indices.dtype), block_nnz)
+        return cls(b, A.shape, indptr, block_keys % nbc, block_of_nnz,
+                   checked=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"BSRBlocks(b={self.b}, shape={self.shape}, "

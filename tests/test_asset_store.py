@@ -20,12 +20,14 @@ import scipy.sparse as sp
 
 from repro.experiments import store
 from repro.experiments.common import (
+    _store_extras,
     clear_run_caches,
     matrix_assets,
     run_matrix,
     run_suite,
 )
 from repro.formats.refloat import ReFloatSpec
+from repro.operators import ReFloatOperator
 from repro.sparse.blocked import BlockedMatrix
 from repro.sparse.gallery import build_matrix
 from repro.sparse.mmio import csr_from_arrays, csr_to_arrays
@@ -323,8 +325,13 @@ class TestStore:
         assert entry is not None  # structural checks still ran
 
 
-class TestStoreV2BsrLayout:
-    """STORE_VERSION 2: the contiguous BSR layout is the canonical entry."""
+def _is_memmap(arr):
+    return isinstance(arr if isinstance(arr, np.memmap) else arr.base,
+                      np.memmap)
+
+
+class TestStoreV3BsrLayout:
+    """STORE_VERSION 3: the index-only BSR layout; every array is 1-D."""
 
     def test_entry_persists_bsr_arrays_not_grouping_arrays(self, fresh):
         A = build_matrix(353, "test")
@@ -332,50 +339,99 @@ class TestStoreV2BsrLayout:
         path = store.save_entry(353, "test", A, A @ np.ones(A.shape[0]),
                                 blocked)
         names = {p.name for p in path.iterdir()}
-        assert {"bsr_data.npy", "bsr_indptr.npy", "bsr_indices.npy",
-                "bsr_scatter.npy"} <= names
-        # The v1 grouping arrays and the duplicated canonical value array
-        # are gone from disk — they derive from the layout.
-        assert not ({"order.npy", "group_starts.npy", "nnz_key.npy",
-                     "C_data.npy"} & names)
+        assert {"bsr_indptr.npy", "bsr_indices.npy",
+                "bsr_block_of_nnz.npy"} <= names
+        # No dense tiles, no v1 grouping arrays, and (A being canonical) no
+        # second copy of the canonical CSR.
+        assert not ({"bsr_data.npy", "bsr_scatter.npy", "order.npy",
+                     "group_starts.npy", "nnz_key.npy", "C_data.npy"}
+                    & names)
         meta = json.loads((path / "meta.json").read_text())
-        assert meta["store_version"] == 2
-        shape = (blocked.n_blocks, 128, 128)
-        assert tuple(meta["arrays"]["bsr_data"]["shape"]) == shape
+        assert meta["store_version"] == 3
+        assert all(len(spec["shape"]) == 1
+                   for spec in meta["arrays"].values())
+        assert meta["arrays"]["bsr_block_of_nnz"]["shape"] == [blocked.nnz]
 
-    def test_attached_bsr_tensor_is_the_mmap(self, fresh):
+    def test_attached_layout_is_the_mmap(self, fresh):
         matrix_assets(353, "test")
         clear_run_caches()
         assets = matrix_assets(353, "test")
-        data = assets.blocked.bsr.data
-        base = data if isinstance(data, np.memmap) else data.base
-        assert isinstance(base, np.memmap)
-        # ... and the whole partition hangs off it with zero reassembly:
-        # the quantised operator was rebuilt from the stored qbsr tensor.
-        np.testing.assert_array_equal(assets.blocked.bsr.csr_data(),
-                                      assets.blocked.A.data)
+        assert _is_memmap(assets.blocked.A.data)
+        assert _is_memmap(assets.blocked.bsr.block_of_nnz)
 
-    def test_non_canonical_values_gather_from_tensor(self, fresh):
-        # 2257 stores only the canonical CSR *pattern*; the values must
-        # come back bit-identical through the BSR gather.
+    def test_non_canonical_matrix_round_trips_c_data(self, fresh):
+        # 2257 is scatter-permuted, so its canonical CSR is stored in full.
         assets = matrix_assets(2257, "test")
         canonical = assets.blocked.A.data.copy()
+        meta = json.loads(
+            (store.entry_path(2257, "test") / "meta.json").read_text())
+        assert {"C_data", "C_indices", "C_indptr"} <= set(meta["arrays"])
         clear_run_caches()
         loaded = matrix_assets(2257, "test")
+        assert _is_memmap(loaded.blocked.A.data)
         np.testing.assert_array_equal(np.asarray(loaded.blocked.A.data),
                                       canonical)
 
-    def test_qbsr_extra_skips_requantisation_bit_identically(self, fresh):
+    def test_quantized_extra_skips_requantisation(self, fresh):
         cold = matrix_assets(353, "test")
         qdata = cold.refloat_op.A.data.copy()
         clear_run_caches()
         store.reset_counters()
         warm = matrix_assets(353, "test")
         assert store.counters()["builds"] == 0
+        assert _is_memmap(warm.refloat_op.A.data)
         np.testing.assert_array_equal(np.asarray(warm.refloat_op.A.data),
                                       qdata)
 
-    @pytest.mark.parametrize("target", ["bsr_data.npy", "bsr_scatter.npy"])
+    def test_entry_bytes_scale_with_nnz(self, fresh):
+        # 8,192 nonzeros in 64 blocks of 128 x 128: dense tiles would cost
+        # 8 * 128 * 128 / 128 = 1 KiB per nonzero, twice with the
+        # quantised extra.
+        n = 8192
+        A = sp.diags(np.linspace(1.0, 2.0, n)).tocsr()
+        blocked = BlockedMatrix(A, b=7)
+        assert blocked.n_blocks == 64
+        spec = ReFloatSpec(b=7, e=3, f=3, ev=3, fv=8)
+        op = ReFloatOperator(None, spec, blocked=blocked)
+        path = store.save_entry(1, "test", A, A @ np.ones(n), blocked,
+                                extras=_store_extras(spec, op))
+        nbytes = sum(f.stat().st_size for f in path.iterdir())
+        assert nbytes / A.nnz < 100
+
+    def test_engine_on_attached_layout_matches_fresh_build(self, fresh):
+        from repro.hardware import BlockedEngine
+
+        A = build_matrix(1311, "test")
+        blocked = BlockedMatrix(A, b=7)
+        store.save_entry(1311, "test", A, A @ np.ones(A.shape[0]), blocked)
+        attached = store.load_entry(1311, "test").blocked
+        spec = ReFloatSpec(b=7, e=3, f=3, ev=3, fv=8)
+        x = np.random.default_rng(11).standard_normal(A.shape[0])
+        np.testing.assert_array_equal(
+            BlockedEngine(attached, spec).multiply(x),
+            BlockedEngine(blocked, spec).multiply(x))
+
+    def test_v2_root_reads_as_a_miss_and_ages_out(self, fresh):
+        matrix_assets(353, "test")
+        current = store.entry_path(353, "test")
+        old = fresh / "v2" / current.name
+        old.parent.mkdir(parents=True)
+        current.rename(old)
+        clear_run_caches()
+        store.reset_counters()
+        matrix_assets(353, "test")          # a miss, rebuilt under v3
+        counts = store.counters()
+        assert counts["misses"] == 1 and counts["builds"] == 1
+        assert store.has_entry(353, "test")
+        current_bytes = next(e["nbytes"] for e in store.entry_stats()
+                             if e["current"])
+        result = store.gc_store(current_bytes)
+        assert result["evicted"] == ["v2/353-test"]
+        assert store.has_entry(353, "test")
+
+    @pytest.mark.parametrize("target", ["bsr_block_of_nnz.npy",
+                                        "bsr_indices.npy"],
+                             ids=["block_of_nnz", "indices"])
     def test_corrupt_bsr_array_invalidates_entry(self, fresh, target):
         A = build_matrix(353, "test")
         store.save_entry(353, "test", A, A @ np.ones(A.shape[0]),
@@ -384,6 +440,24 @@ class TestStoreV2BsrLayout:
         raw = bytearray(victim.read_bytes())
         raw[-9] ^= 0x04   # inside the payload, shape/dtype stay valid
         victim.write_bytes(bytes(raw))
+        assert store.load_entry(353, "test") is None
+        assert store.counters()["invalid"] == 1
+        assert not store.has_entry(353, "test")
+
+    def test_wrong_block_of_nnz_with_good_checksum_rejected(self, fresh,
+                                                           monkeypatch):
+        monkeypatch.setenv("REPRO_ASSET_STORE_VERIFY", "1")
+        A = build_matrix(353, "test")
+        path = store.save_entry(353, "test", A, A @ np.ones(A.shape[0]),
+                                BlockedMatrix(A, b=7))
+        victim = path / "bsr_block_of_nnz.npy"
+        g = np.load(victim)
+        j = int(np.flatnonzero(g != g[0])[0])
+        g[[0, j]] = g[[j, 0]]     # in range, same dtype and shape
+        np.save(victim, g)
+        meta = json.loads((path / "meta.json").read_text())
+        meta["arrays"]["bsr_block_of_nnz"]["crc32"] = store._file_crc32(victim)
+        (path / "meta.json").write_text(json.dumps(meta))
         assert store.load_entry(353, "test") is None
         assert store.counters()["invalid"] == 1
         assert not store.has_entry(353, "test")

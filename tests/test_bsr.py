@@ -1,14 +1,15 @@
 """BSRBlocks: round-trips, refactor pinning, and layout validation.
 
-The contiguous BSR layout is the single block representation — every test
+The index-only BSR layout is the single block representation — every test
 here pins it against the representation it replaced:
 
-* CSR -> BSR -> CSR round-trips bit-identically over the nasty shapes
-  (ragged edges, empty matrix, single occupied block, the non-canonical
-  suite matrices 2257/2259 at the paper's b=7);
-* the tensor-derived exponent statistics and ``quantize`` match the old
-  ``reduceat``-over-block-grouped-data formulas bit for bit (including the
-  subnormal/EXP_ZERO corner);
+* each nonzero's (row, col) rebuilds from the layout, and ``dense_block``
+  tiles hold every CSR value bit for bit, over the nasty shapes (ragged
+  edges, empty matrix, single occupied block, the non-canonical suite
+  matrices 2257/2259 at the paper's b=7);
+* the ``block_of_nnz``-derived exponent statistics and ``quantize`` match
+  the old ``reduceat``-over-block-grouped-data formulas bit for bit
+  (including the subnormal/EXP_ZERO corner);
 * ``from_bsr`` lazily re-derives the legacy grouping arrays identically;
 * the ``from_arrays`` order-validation bugfix rejects tampered
   non-permutation arrays with named errors.
@@ -103,26 +104,44 @@ def _ref_per_nnz_eb(bm, e, policy):
 # ----------------------------------------------------------------------
 
 
+def _csr_coords(A):
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    return rows, A.indices.astype(np.int64)
+
+
 class TestRoundTrip:
     def test_csr_bsr_csr_bit_identical(self, bm):
-        back = bm.bsr.to_csr()
-        np.testing.assert_array_equal(back.data, bm.A.data)
-        np.testing.assert_array_equal(back.indices, bm.A.indices)
-        np.testing.assert_array_equal(back.indptr, bm.A.indptr)
-        assert back.shape == bm.A.shape
+        # Block row/col x 2^b plus the in-block offset rebuilds every
+        # nonzero's position in the canonical CSR pattern.
+        bsr, size = bm.bsr, bm.block_size
+        rows, cols = _csr_coords(bm.A)
+        g = bsr.block_of_nnz
+        np.testing.assert_array_equal(
+            bsr.block_rows[g] * size + (rows & (size - 1)), rows)
+        np.testing.assert_array_equal(
+            bsr.indices.astype(np.int64)[g] * size + (cols & (size - 1)), cols)
+        bsr.check_matches(bm.A)
 
     def test_csr_data_gather_bit_identical(self, bm):
-        np.testing.assert_array_equal(bm.bsr.csr_data(), bm.A.data)
-
-    def test_scatter_values_rebuilds_tensor(self, bm):
-        np.testing.assert_array_equal(bm.bsr.scatter_values(bm.A.data),
-                                      bm.bsr.data)
+        # Every occupied block's tile holds its nonzeros at their in-block
+        # cells, bit for bit.
+        size = bm.block_size
+        rows, cols = _csr_coords(bm.A)
+        g = bm.bsr.block_of_nnz
+        got = np.full(bm.nnz, np.nan)
+        for k, (bi, bj) in enumerate(zip(*bm.block_coords())):
+            tile = bm.dense_block(int(bi), int(bj))
+            sel = g == k
+            got[sel] = tile[rows[sel] & (size - 1), cols[sel] & (size - 1)]
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      bm.A.data.view(np.uint64))
 
     def test_tensor_accounts_every_nonzero(self, bm):
         bsr = bm.bsr
-        assert bsr.data.shape == (bm.n_blocks, bm.block_size, bm.block_size)
-        assert int(np.count_nonzero(bsr.data)) <= bm.nnz
+        assert bsr.block_of_nnz.shape == (bm.nnz,)
+        assert bsr.block_of_nnz.dtype == bm.A.indices.dtype
         assert int(bsr.block_nnz.sum()) == bm.nnz
+        assert bm.n_blocks == 0 or int(bsr.block_nnz.min()) > 0
         np.testing.assert_array_equal(bsr.block_nnz, bm.block_nnz)
 
     def test_block_addressing_matches_block_keys(self, bm):
@@ -225,15 +244,14 @@ class TestLayoutValidation:
     def test_structural_checks(self):
         bm = CASES["laplacian"]
         bsr = bm.bsr
-        args = dict(b=bsr.b, shape=bsr.shape, data=bsr.data,
-                    indptr=bsr.indptr, indices=bsr.indices,
-                    scatter=bsr.scatter)
+        args = dict(b=bsr.b, shape=bsr.shape, indptr=bsr.indptr,
+                    indices=bsr.indices, block_of_nnz=bsr.block_of_nnz)
         BSRBlocks(**args)  # the genuine layout validates
-        with pytest.raises(ValueError, match="data must be"):
-            BSRBlocks(**{**args, "data": bsr.data[:, :1, :]})
         with pytest.raises(ValueError, match="1-D integer"):
             BSRBlocks(**{**args,
-                         "scatter": bsr.scatter.astype(np.float64)})
+                         "block_of_nnz": bsr.block_of_nnz.astype(np.float64)})
+        with pytest.raises(ValueError, match="1-D integer"):
+            BSRBlocks(**{**args, "block_of_nnz": bsr.block_of_nnz[:, None]})
         with pytest.raises(ValueError, match="indptr must have"):
             BSRBlocks(**{**args, "indptr": bsr.indptr[:-1]})
         bad_ptr = bsr.indptr.copy()
@@ -244,20 +262,44 @@ class TestLayoutValidation:
             BSRBlocks(**{**args, "indices": bsr.indices + bsr.block_grid[1]})
         with pytest.raises(ValueError, match="strictly ascending"):
             BSRBlocks(**{**args, "indices": bsr.indices[::-1].copy()})
-        with pytest.raises(ValueError, match="scatter indices must lie"):
+        with pytest.raises(ValueError, match="block_of_nnz entries must lie"):
             BSRBlocks(**{**args,
-                         "scatter": bsr.scatter + bsr.data.size})
+                         "block_of_nnz": bsr.block_of_nnz + bsr.n_blocks})
+        with pytest.raises(ValueError, match="block_of_nnz entries must lie"):
+            BSRBlocks(**{**args, "block_of_nnz": bsr.block_of_nnz - 1})
 
-    def test_scatter_injectivity_check(self):
+    def test_check_matches_rejects_swapped_blocks(self):
         bm = CASES["laplacian"]
         bsr = bm.bsr
-        bsr.check_scatter_unique()   # genuine layout passes
-        dup = bsr.scatter.copy()
-        dup[1] = dup[0]
-        tampered = BSRBlocks(bsr.b, bsr.shape, bsr.data, bsr.indptr,
-                             bsr.indices, dup)
-        with pytest.raises(ValueError, match="same cell"):
-            tampered.check_scatter_unique()
+        bsr.check_matches(bm.A)   # genuine layout passes
+        g = bsr.block_of_nnz
+        j = int(np.flatnonzero(g != g[0])[0])
+        swapped = g.copy()
+        swapped[[0, j]] = g[[j, 0]]
+        # In range and every block still occupied: only the per-nonzero
+        # block check can tell.
+        tampered = BSRBlocks(bsr.b, bsr.shape, bsr.indptr, bsr.indices,
+                             swapped)
+        with pytest.raises(ValueError, match="wrong block"):
+            tampered.check_matches(bm.A)
+
+    def test_check_matches_rejects_another_matrix(self):
+        bm = CASES["laplacian"]
+        with pytest.raises(ValueError, match="layout is for"):
+            bm.bsr.check_matches(CASES["ragged-square"].A)
+        fewer = bm.A.copy()
+        fewer.data[0] = 0.0
+        fewer.eliminate_zeros()
+        with pytest.raises(ValueError, match="layout is for"):
+            bm.bsr.check_matches(fewer)
+
+    def test_check_matches_rejects_an_empty_block(self):
+        bm = CASES["single-block"]           # one block, at (1, 1)
+        bsr = bm.bsr
+        padded = BSRBlocks(bsr.b, bsr.shape, np.array([0, 0, 2, 2, 2]),
+                           np.array([1, 2]), bsr.block_of_nnz)
+        with pytest.raises(ValueError, match="no nonzero"):
+            padded.check_matches(bm.A)
 
 
 class TestFromArraysValidation:

@@ -201,6 +201,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["store", "--gc"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_gc_rejects_a_bad_budget_as_a_usage_error(self, store_env,
+                                                      capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["store", "--gc", "--max-mb", value])
+        assert exc.value.code == 2
+        assert "--max-mb must be a finite number" in capsys.readouterr().err
+
     def test_suite_subcommand_writes_json(self, tmp_path, monkeypatch,
                                           capsys):
         monkeypatch.delenv("REPRO_SUITE_EXECUTOR", raising=False)
