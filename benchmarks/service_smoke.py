@@ -9,6 +9,9 @@ checks the service contract:
 - every response arrives (no hangs, no dropped futures),
 - vector solutions are bit-identical to the serial single-RHS reference
   computed in this (separate) process,
+- a same-key vector job whose RHS holds a NaN fails alone, with an error
+  naming the non-finite RHS, and the healthy jobs batched with it still
+  match their references,
 - engine runs are exactly the local ``MatrixRun.to_dict()`` payloads,
 - at least one coalesced batch formed (``coalesced_batches >= 1``),
 - the daemon exits 0 on ``POST /v1/shutdown``.
@@ -34,12 +37,14 @@ import numpy as np
 SID_VECTOR = 2257
 ENGINE_SIDS = (353, 2257)
 N_VECTOR_CLIENTS = 4
+# The healthy clients plus one whose RHS holds a NaN, all in one batch.
+BATCH_MAX = N_VECTOR_CLIENTS + 1
 
 
 def start_daemon(chaos: bool):
     cmd = [sys.executable, "-m", "repro.experiments", "serve",
            "--host", "127.0.0.1", "--port", "0", "--workers", "2",
-           "--batch-window", "0.25", "--batch-max", str(N_VECTOR_CLIENTS),
+           "--batch-window", "0.25", "--batch-max", str(BATCH_MAX),
            "--json", "-"]
     if chaos:
         cmd += ["--executor", "process",
@@ -68,7 +73,7 @@ def main(argv=None) -> int:
     from repro.api.config import RunConfig
     from repro.api.specs import RunRequest
     from repro.experiments.common import platform_operator, run_request
-    from repro.service import ServiceClient, VectorJob
+    from repro.service import ServiceClient, ServiceError, VectorJob
     from repro.solvers import cg
 
     crit = RunConfig.from_env().effective_criterion
@@ -77,6 +82,8 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(97)
     cols = [rng.standard_normal(n) for _ in range(N_VECTOR_CLIENTS)]
     vector_refs = [cg(op, c, criterion=crit) for c in cols]
+    nan_rhs = np.ones(n)
+    nan_rhs[0] = np.nan
     engine_requests = [RunRequest(sid=sid, solver="cg", scale=args.scale)
                        for sid in ENGINE_SIDS]
     engine_refs = [run_request(req).to_dict() for req in engine_requests]
@@ -86,6 +93,7 @@ def main(argv=None) -> int:
     try:
         client = ServiceClient(address, timeout=300.0)
         vector_out = [None] * N_VECTOR_CLIENTS
+        nan_out = []
         engine_out = [None] * len(engine_requests)
 
         def vector_client(i):
@@ -93,11 +101,20 @@ def main(argv=None) -> int:
                             rhs=tuple(float(v) for v in cols[i]))
             vector_out[i] = client.solve_vector(job)
 
+        def nan_client():
+            job = VectorJob(sid=SID_VECTOR, scale=args.scale,
+                            rhs=tuple(float(v) for v in nan_rhs))
+            try:
+                nan_out.append(client.solve_vector(job))
+            except ServiceError as exc:
+                nan_out.append(exc)
+
         def engine_client(i):
             engine_out[i] = client.solve(engine_requests[i])
 
         threads = ([threading.Thread(target=vector_client, args=(i,))
                     for i in range(N_VECTOR_CLIENTS)]
+                   + [threading.Thread(target=nan_client)]
                    + [threading.Thread(target=engine_client, args=(i,))
                       for i in range(len(engine_requests))])
         for t in threads:
@@ -117,6 +134,12 @@ def main(argv=None) -> int:
             elif out["iterations"] != ref.iterations:
                 failures.append(f"vector client {i}: iteration count "
                                 f"{out['iterations']} != {ref.iterations}")
+        if not nan_out:
+            failures.append("NaN-RHS client: no response")
+        elif not (isinstance(nan_out[0], ServiceError)
+                  and "non-finite" in str(nan_out[0])):
+            failures.append(f"NaN-RHS client: wanted an error naming the "
+                            f"non-finite RHS, got {nan_out[0]!r}")
         for req, out, ref in zip(engine_requests, engine_out, engine_refs):
             if out != ref:
                 failures.append(f"engine request sid={req.sid}: run dict "

@@ -189,19 +189,6 @@ def test_bench_engine_construction_speedup_over_per_block(matrix):
         f"than the per-block loop")
 
 
-def test_bench_blocked_engine_matmat(benchmark, matrix):
-    """The engine array's batched k=16 contraction over the cell tensor."""
-    from repro.hardware import BlockedEngine
-
-    rng = np.random.default_rng(5)
-    spec = ReFloatSpec(b=4, e=3, f=3, ev=3, fv=8)
-    blocked = BlockedMatrix(matrix, 4)
-    engine = BlockedEngine(blocked, spec)
-    X = rng.standard_normal((matrix.shape[0], 16))
-    Y = benchmark(engine.multiply_batch, X)
-    assert Y.shape == (matrix.shape[1], 16)
-
-
 def test_bench_store_warm_attach(benchmark, tmp_path, monkeypatch, matrix):
     """Memory-map attach of the index-only BSR entry (trusted local store:
     verification off, the pure zero-reassembly path).  The functional

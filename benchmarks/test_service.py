@@ -26,7 +26,7 @@ import pytest
 from repro.api import RunConfig
 from repro.experiments.common import clear_run_caches, platform_operator
 from repro.service import ServiceClient, SolveService, VectorJob
-from repro.solvers import solve_lockstep, solve_many
+from repro.solvers import cg, solve_lockstep
 
 pytestmark = pytest.mark.bench
 
@@ -103,11 +103,15 @@ def test_bench_service_burst_uncoalesced(benchmark, rhs_block, scale):
 
 def test_bench_lockstep_gang(benchmark, rhs_block, scale):
     _, op = platform_operator(SID, scale)
-    results = benchmark(solve_lockstep, op, rhs_block, solver="cg")
+    results = benchmark(solve_lockstep, op, rhs_block, cg)
     assert all(r.converged for r in results)
 
 
 def test_bench_serial_columns(benchmark, rhs_block, scale):
     _, op = platform_operator(SID, scale)
-    results = benchmark(solve_many, op, rhs_block, solver="cg")
+
+    def per_column():
+        return [cg(op, rhs_block[:, j]) for j in range(rhs_block.shape[1])]
+
+    results = benchmark(per_column)
     assert all(r.converged for r in results)

@@ -20,8 +20,8 @@ The programmatic surface of the evaluation harness:
   (typed solve/baseline/asset nodes, named cycle errors, dependent-skip).
 
 Importing this package installs the builtin registrations (the four paper
-platforms plus the ``noisy``/``truncated`` scenarios; the cg/bicgstab and
-batched solvers; the builtin fault kinds).
+platforms plus the ``noisy``/``truncated`` scenarios; the cg/bicgstab
+solvers; the builtin fault kinds).
 """
 
 from repro.api.config import (

@@ -104,10 +104,10 @@ class SolverSpec:
     accelerator timing models (Section VI-B: BiCGSTAB does two whole-matrix
     SpMVs per iteration); ``gpu_vector_kernels_per_iteration`` is the GPU
     roofline's kernel count (defaults to the accelerator vector-op count
-    when a registrant does not distinguish them).  ``multi_rhs`` marks
-    batched solvers (``block_cg``/``solve_many``) that take an ``(n, k)``
-    right-hand-side block — first-class registrants, but rejected by the
-    single-RHS ``run_matrix`` path with a named error.
+    when a registrant does not distinguish them).  ``solve`` is a
+    single-RHS solver with the ``solve(A, b, x0=..., criterion=...)``
+    convention: ``run_matrix`` calls it once per platform, and the solve
+    service's lockstep gang calls it once per coalesced column.
     """
 
     name: str
@@ -115,7 +115,6 @@ class SolverSpec:
     spmvs_per_iteration: int
     vector_ops_per_iteration: int
     gpu_vector_kernels_per_iteration: Optional[int] = None
-    multi_rhs: bool = False
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -255,7 +254,6 @@ def register_platform(name: str, *,
 def register_solver(name: str, *, spmvs_per_iteration: int,
                     vector_ops_per_iteration: int,
                     gpu_vector_kernels_per_iteration: Optional[int] = None,
-                    multi_rhs: bool = False,
                     description: str = "",
                     replace: bool = False,
                     registry: Optional[Registry] = None,
@@ -269,7 +267,7 @@ def register_solver(name: str, *, spmvs_per_iteration: int,
             spmvs_per_iteration=spmvs_per_iteration,
             vector_ops_per_iteration=vector_ops_per_iteration,
             gpu_vector_kernels_per_iteration=gpu_vector_kernels_per_iteration,
-            multi_rhs=multi_rhs, description=description), replace=replace)
+            description=description), replace=replace)
         return solve
 
     return deco

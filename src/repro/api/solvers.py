@@ -4,23 +4,16 @@ Folds the old ``SOLVERS`` callable dict and the parallel ``_SOLVER_SHAPE``
 per-iteration operation counts into single :class:`SolverSpec` entries
 (Section VI-B: BiCGSTAB does two whole-matrix SpMVs per iteration; the GPU
 roofline charges 5/10 vector kernels where the accelerators stream 6/12
-n-length ops).  The batched solvers are first-class registrants too,
-flagged ``multi_rhs`` — ``run_matrix`` refuses them with a named error, but
-programmatic callers and the ``solve_many`` pipeline discover them through
-the same registry.
+n-length ops).  The paper's two single-RHS solvers are the only builtin
+registrants; the solve service batches concurrent requests by running the
+registered ``solve`` once per column in a lockstep gang
+(:func:`repro.solvers.lockstep.solve_lockstep`).
 """
 
 from __future__ import annotations
 
 from repro.api.registry import register_solver
-from repro.solvers import (
-    bicgstab,
-    block_bicgstab,
-    block_cg,
-    cg,
-    solve_lockstep,
-    solve_many,
-)
+from repro.solvers import bicgstab, cg
 
 __all__ = ["DEFAULT_SOLVERS"]
 
@@ -36,28 +29,3 @@ register_solver(
     "bicgstab", spmvs_per_iteration=2, vector_ops_per_iteration=12,
     gpu_vector_kernels_per_iteration=10,
     description="BiCGSTAB (general systems; two SpMVs per iteration)")(bicgstab)
-
-register_solver(
-    "block_cg", spmvs_per_iteration=1, vector_ops_per_iteration=6,
-    gpu_vector_kernels_per_iteration=5, multi_rhs=True,
-    description="O'Leary block CG: k RHS per iteration, one matmat/iter")(
-        block_cg)
-
-register_solver(
-    "block_bicgstab", spmvs_per_iteration=2, vector_ops_per_iteration=12,
-    gpu_vector_kernels_per_iteration=10, multi_rhs=True,
-    description="batched BiCGSTAB: k RHS per iteration, two matmats/iter")(
-        block_bicgstab)
-
-register_solver(
-    "solve_many", spmvs_per_iteration=1, vector_ops_per_iteration=6,
-    gpu_vector_kernels_per_iteration=5, multi_rhs=True,
-    description="per-column single-RHS solves sharing one operator")(
-        solve_many)
-
-register_solver(
-    "lockstep", spmvs_per_iteration=1, vector_ops_per_iteration=6,
-    gpu_vector_kernels_per_iteration=5, multi_rhs=True,
-    description="gang-scheduled per-column solves: one matmat per round, "
-                "bit-identical to solve_many (the service coalescer's "
-                "batch path)")(solve_lockstep)

@@ -666,6 +666,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.max_mb is not None and not (math.isfinite(args.max_mb)
                                                 and args.max_mb >= 0):
                 parser.error("--max-mb must be a finite number >= 0")
+        if argv[0] == "report" and args.last is not None and args.last < 1:
+            parser.error("--last must be an integer >= 1")
         if argv[0] == "sweep" and args.resume and args.journal is None:
             parser.error("--resume requires --journal")
         if argv[0] in _CONFIG_COMMANDS:

@@ -739,10 +739,6 @@ def run_matrix(sid: int, solver: str, scale: Optional[str] = None,
     per-call work.
     """
     sspec = SOLVER_REGISTRY.get(solver)
-    if sspec.multi_rhs:
-        raise ValueError(
-            f"solver {solver!r} is a multi-RHS (batched) solver; run_matrix "
-            f"sweeps single-RHS solvers — call it directly for RHS blocks")
     scale = resolve_scale(scale)
     names = (DEFAULT_PLATFORMS if platforms is None
              else platforms if isinstance(platforms, (str, bytes))
@@ -810,15 +806,9 @@ def platform_operator(sid: int, scale: Optional[str] = None,
     from the shared :func:`matrix_assets` cache, so repeated batches on the
     same ``(sid, scale)`` pay the quantisation exactly once.  Platforms
     that reuse another's results (``results_from``, e.g. ``feinberg_fc``)
-    have no operator of their own and are refused with a named error, as
-    are multi-RHS solver names (the context carries a single-RHS solver's
-    per-iteration shape).
+    have no operator of their own and are refused with a named error.
     """
     sspec = SOLVER_REGISTRY.get(solver)
-    if sspec.multi_rhs:
-        raise ValueError(
-            f"solver {solver!r} is a multi-RHS (batched) solver; "
-            f"platform_operator describes single-RHS solves")
     scale = resolve_scale(scale)
     ensure_variant_platforms((platform,))
     pspec = PLATFORM_REGISTRY.get(platform)
@@ -1521,10 +1511,7 @@ def run_sweep(spec: SweepSpec, use_cache: bool = True,
     else:
         baseline = ()
     for solver in spec.solvers:
-        if SOLVER_REGISTRY.get(solver).multi_rhs:
-            raise ValueError(
-                f"solver {solver!r} is a multi-RHS (batched) solver; sweeps "
-                f"run single-RHS solvers")
+        SOLVER_REGISTRY.get(solver)  # fail fast on unknown solvers
     ids = _check_sids(spec.sids)
     crit = (criterion if criterion is not None
             else api_config.active().effective_criterion)

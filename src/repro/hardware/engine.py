@@ -32,7 +32,10 @@ and the vector conversion goes through the cached
 extends the same bit-exact datapath to a whole :class:`BlockedMatrix`: all
 occupied blocks are encoded once into a dense integer tensor and every
 ``multiply`` runs one batched integer contraction over all blocks — the
-vectorised functional model of the accelerator's engine array.
+vectorised functional model of the accelerator's engine array.  Both
+engines take one vector per call; multi-RHS applies (operator ``matmat``,
+driven by the solve service's lockstep gang) run on the operators' FP64
+shortcut that the engines are pinned against.
 """
 
 from __future__ import annotations
@@ -163,47 +166,6 @@ class ProcessingEngine:
         scale_exp = (self.eb + lo - spec.f) + ulp_exp
         return signed.astype(np.float64) * np.ldexp(1.0, scale_exp)
 
-    def multiply_batch(self, segments: np.ndarray) -> np.ndarray:
-        """Batched :meth:`multiply`: ``(k, 2^b)`` segments to ``(k, 2^b)``.
-
-        One bit-sliced operand program serves the whole batch: the ``2k``
-        sign-quadrant drives per crossbar stack ride through
-        :meth:`CrossbarMVM.multiply_batch` in a single contraction each.
-        Bit-identical to calling :meth:`multiply` per row (asserted by the
-        fast-path tests).
-        """
-        spec = self.spec
-        segments = np.asarray(segments, dtype=np.float64)
-        if segments.ndim != 2 or segments.shape[1] != self._plan.n:
-            raise ValueError(
-                f"segments must have shape (k, {self._plan.n}), "
-                f"got {segments.shape}")
-        k = segments.shape[0]
-        Xq, ebv = self._plan.convert_batch(segments.T)   # (size, k), (1, k)
-        lo_v, _ = offset_bounds(spec.ev)
-        ulp_exp = ebv[0].astype(np.int64) + lo_v - spec.fv
-        if bool((ulp_exp < -1022).any()):
-            raise ValueError(
-                "a segment ulp exponent is below the binary64 normal range "
-                "(exact-grid passthrough): the fixed-point wordline model "
-                "cannot represent this conversion — use the FP64 shortcut "
-                "(block_mvm_reference / ReFloatOperator)")
-        XqT = Xq.T                                       # (k, size)
-        xint = np.rint(np.abs(XqT) * np.ldexp(1.0, -ulp_exp)[:, None]) \
-            .astype(np.uint64)
-        xpos = np.where(XqT >= 0, xint, np.uint64(0))
-        xneg = np.where(XqT < 0, xint, np.uint64(0))
-
-        # 2k drives per stack: rows [0, k) carry the +/+ and -/- products,
-        # rows [k, 2k) the cross terms — the per-segment ④→⑤ combination.
-        pos = self._mvm_pos.multiply_batch(np.concatenate((xpos, xneg)))
-        neg = self._mvm_neg.multiply_batch(np.concatenate((xneg, xpos)))
-        signed = (pos[:k] + neg[:k]) - (pos[k:] + neg[k:])
-
-        lo, _ = offset_bounds(spec.e)
-        scale_exp = (self.eb + lo - spec.f) + ulp_exp
-        return signed.astype(np.float64) * np.ldexp(1.0, scale_exp)[:, None]
-
 
 class BlockedEngine:
     """Batched multi-block engine: every occupied block in one vectorised pass.
@@ -322,56 +284,6 @@ class BlockedEngine:
         # over occupied blocks, so float rounding matches the per-block path.
         np.add.at(out, self.block_cols, contrib)
         return out.ravel()[:n_cols]
-
-    def multiply_batch(self, X: np.ndarray) -> np.ndarray:
-        """Batched :meth:`multiply`: ``(n, k)`` columns to ``(n_cols, k)``.
-
-        The multi-RHS functional model of the engine array: one batched
-        vector conversion (:meth:`VectorConverterPlan.convert_batch`) and one
-        integer contraction per occupied block serve all ``k`` right-hand
-        sides — the bit-sliced operand program is amortised across the batch.
-        Column ``j`` of the result is bit-identical to ``multiply(X[:, j])``
-        (asserted by the fast-path tests): every per-column operation below
-        is the same ufunc sequence, and the block-order accumulation is
-        columnwise independent.
-        """
-        spec = self.spec
-        n_rows, n_cols = self.blocked.shape
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != n_rows:
-            raise ValueError(f"X must have shape ({n_rows}, k), got {X.shape}")
-        k = X.shape[1]
-        size = self.blocked.block_size
-        nseg_r = -(-n_rows // size)
-        nseg_c = -(-n_cols // size)
-        Xq, ebv = self._plan.convert_batch(X)            # (n, k), (nseg_r, k)
-        lo_v, _ = offset_bounds(spec.ev)
-        ulp_exp = ebv.astype(np.int64) + lo_v - spec.fv  # (nseg_r, k)
-        if bool((ulp_exp < -1022).any()):
-            raise ValueError(
-                "a segment ulp exponent is below the binary64 normal range "
-                "(exact-grid passthrough): the fixed-point wordline model "
-                "cannot represent this conversion — use the FP64 shortcut "
-                "(block_mvm_reference / ReFloatOperator)")
-        xpad = np.zeros((nseg_r * size, k), dtype=np.float64)
-        xpad[:n_rows] = Xq
-        X3 = xpad.reshape(nseg_r, size, k)
-        xint = np.rint(np.abs(X3) * np.ldexp(1.0, -ulp_exp)[:, None, :]) \
-            .astype(np.int64)
-        if xint.size and int(xint.max()) >= (1 << self.vector_bits):
-            raise ValueError(
-                f"vector word does not fit in {self.vector_bits} bits")
-        xs = np.where(X3 >= 0, xint, -xint)
-        # One batched integer contraction per occupied block over all columns.
-        V = xs[self.block_rows]                          # (G, size, k)
-        signed = np.einsum("gij,gik->gjk", self._cells, V)
-        scale_exp = (self.eb + self._lo - spec.f)[:, None] \
-            + ulp_exp[self.block_rows]                   # (G, k)
-        contrib = signed.astype(np.float64) \
-            * np.ldexp(1.0, scale_exp)[:, None, :]
-        out = np.zeros((nseg_c, size, k), dtype=np.float64)
-        np.add.at(out, self.block_cols, contrib)
-        return out.reshape(-1, k)[:n_cols]
 
 
 def block_mvm_reference(block: np.ndarray, segment: np.ndarray,

@@ -17,10 +17,10 @@ class CountingOperator:
     ``count`` is the number of *engine contractions*: a ``matvec`` is one,
     and a batched ``matmat`` is also one — the accelerator programs its
     bit-sliced operand once and streams the whole batch through it, which is
-    exactly the economy the block solvers exploit.  ``columns`` tracks the
-    total number of right-hand-side columns pushed (a ``matvec`` adds 1, a
-    ``matmat`` adds ``k``), so ``columns / count`` is the achieved batching
-    factor.
+    exactly the economy the service's lockstep gang exploits.  ``columns``
+    tracks the total number of right-hand-side columns pushed (a ``matvec``
+    adds 1, a ``matmat`` adds ``k``), so ``columns / count`` is the achieved
+    batching factor.
     """
 
     def __init__(self, inner):

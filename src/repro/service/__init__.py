@@ -8,14 +8,15 @@ surface (stdlib ``http.server``/``http.client`` only — no new deps):
   (run by the graph scheduler — inline, or on the persistent process pool
   with ``--executor process`` — inheriting retries/timeouts/pool
   recovery/dependency-skip) or a
-  :class:`~repro.service.jobs.VectorJob` (a single right-hand side, the
-  many-users fast path).  ``GET /v1/stats`` surfaces the service counters.
+  :class:`~repro.service.jobs.VectorJob` (a single right-hand side for a
+  registered solver, the many-users fast path).  ``GET /v1/stats`` surfaces the service counters.
   The daemon serves solves only; asset-store entries stay local to the
   host that built them.
 - :class:`~repro.service.coalesce.Coalescer` — groups concurrent same-key
   vector jobs into one lockstep ``matmat`` batch
-  (:func:`~repro.solvers.lockstep.solve_lockstep`), bounded by the batch
-  window and max batch size, with per-request demux and results
+  (:func:`~repro.solvers.lockstep.solve_lockstep` over the registered
+  ``SolverSpec.solve``, the package's one multi-RHS path), bounded by the
+  batch window and max batch size, with per-request demux and results
   bit-identical to the per-request serial path.
 - :class:`~repro.service.client.ServiceClient` — the client half, reusing
   the ``RunConfig`` retry/backoff/timeout knobs.

@@ -13,9 +13,11 @@ share one ``POST /v1/solve`` endpoint, distinguished by the payload's
   recovery and dependency-skip all inherited.  Results stream back as
   ``MatrixRun.to_dict()``; structured failures come back as
   ``RunFailure`` records, not hung sockets.
-- ``"VectorJob"`` — one right-hand side.  Same-key jobs coalesce into one
-  lockstep ``matmat`` batch (:mod:`repro.service.coalesce`), bit-identical
-  per column to solving each request on its own.
+- ``"VectorJob"`` — one right-hand side for a registered solver.  Same-key
+  jobs coalesce into one lockstep ``matmat`` batch
+  (:mod:`repro.service.coalesce`), which runs the registered
+  ``SolverSpec.solve`` once per column, bit-identical to solving each
+  request on its own.
 
 ``GET /v1/stats`` returns the service counters plus the engine/store
 counter snapshots; ``GET /v1/health`` is the liveness probe;
@@ -42,7 +44,7 @@ from repro.api.specs import RunRequest
 from repro.api.sweep import ensure_variant_platforms
 from repro.service.coalesce import Coalescer, ServiceCounters
 from repro.service.jobs import VectorJob
-from repro.solvers.lockstep import LOCKSTEP_SOLVERS, solve_lockstep
+from repro.solvers.lockstep import solve_lockstep
 
 __all__ = ["SERVICE_VERSION", "SolveService"]
 
@@ -58,7 +60,9 @@ class SolveService:
     thread, coalesced batch and pool worker resolves the same knobs;
     ``None`` uses whatever is already active.  Call :meth:`serve_forever`
     to run, :meth:`shutdown` (or ``POST /v1/shutdown``) to stop it, and
-    :meth:`close` to flush the coalescers and release the socket.
+    :meth:`close` to flush the coalescers and release the socket.  A
+    daemon driven only in-process (``submit_vector``/``submit_request``,
+    no :meth:`serve_forever`) closes cleanly too.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -82,6 +86,8 @@ class SolveService:
         handler = type("_BoundHandler", (_Handler,), {"service": self})
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
+        self._lifecycle = threading.Lock()
+        self._serving = False
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
@@ -95,6 +101,10 @@ class SolveService:
     def serve_forever(self, poll_interval: float = 0.05) -> None:
         # A tight poll keeps shutdown latency low; the poll is a cheap
         # selector timeout, not a busy wait.
+        with self._lifecycle:
+            if self._closed:
+                return
+            self._serving = True
         self._httpd.serve_forever(poll_interval=poll_interval)
 
     def shutdown(self) -> None:
@@ -103,10 +113,15 @@ class SolveService:
 
     def close(self) -> None:
         """Flush the coalescers, release the socket, restore the config."""
-        if self._closed:
-            return
-        self._closed = True
-        self._httpd.shutdown()
+        with self._lifecycle:
+            if self._closed:
+                return
+            self._closed = True
+            serving = self._serving
+        if serving:
+            # shutdown() waits for the serve loop to acknowledge; with no
+            # loop ever started it would wait forever.
+            self._httpd.shutdown()
         self._vector.close()
         self._engine.close()
         self._httpd.server_close()
@@ -127,19 +142,10 @@ class SolveService:
 
     def submit_vector(self, job: VectorJob):
         """Validate a :class:`VectorJob` cheaply and enqueue it under its
-        batch key.  Identity errors (unknown solver/platform, a multi-RHS
-        solver, an operatorless platform) raise ``ValueError``/``KeyError``
-        here — *before* the job could poison an innocent batch."""
-        sspec = SOLVER_REGISTRY.get(job.solver)
-        if sspec.multi_rhs:
-            raise ValueError(
-                f"solver {job.solver!r} is a multi-RHS (batched) solver; "
-                f"vector jobs name the single-RHS solver — batching is the "
-                f"coalescer's job")
-        if job.solver not in LOCKSTEP_SOLVERS:
-            raise ValueError(
-                f"vector jobs support the gang-schedulable solvers "
-                f"{sorted(LOCKSTEP_SOLVERS)}, got {job.solver!r}")
+        batch key.  Identity errors (an unregistered solver or platform, an
+        operatorless platform) raise ``KeyError``/``ValueError`` here —
+        *before* the job could poison an innocent batch."""
+        SOLVER_REGISTRY.get(job.solver)
         ensure_variant_platforms((job.platform,))
         pspec = PLATFORM_REGISTRY.get(job.platform)
         if pspec.operator is None:
@@ -171,18 +177,21 @@ class SolveService:
                 rhs = np.asarray(assets.b, dtype=np.float64)
             else:
                 rhs = np.asarray(job.rhs, dtype=np.float64)
+            # A malformed RHS fails its own request, not the batch.
             if rhs.shape != (n,):
-                # A malformed RHS fails its own request, not the batch.
                 outs[i] = {"error": f"rhs must have length {n} for sid "
                                     f"{job.sid}, got {rhs.shape[0]}"}
+                continue
+            if not np.all(np.isfinite(rhs)):
+                outs[i] = {"error": "rhs contains non-finite values"}
                 continue
             cols.append(rhs)
             col_slots.append(i)
         if cols:
             stats: Dict[str, Any] = {}
             results = solve_lockstep(op, np.stack(cols, axis=1),
-                                     solver=lead.solver, criterion=crit,
-                                     batch_stats=stats)
+                                     SOLVER_REGISTRY.get(lead.solver).solve,
+                                     criterion=crit, batch_stats=stats)
             self.counters.note_matmats(stats["matmats"])
             batch = {"size": len(cols), "matmats": stats["matmats"]}
             for slot, res in zip(col_slots, results):

@@ -9,8 +9,6 @@ from repro.solvers.base import (
     operator_matmat,
 )
 from repro.solvers.bicgstab import bicgstab
-from repro.solvers.block_bicgstab import block_bicgstab
-from repro.solvers.block_cg import BlockSolverResult, block_cg, solve_many
 from repro.solvers.cg import cg
 from repro.solvers.gmres import gmres
 from repro.solvers.lockstep import solve_lockstep
@@ -23,7 +21,6 @@ from repro.solvers.refinement import RefinementResult, iterative_refinement
 from repro.solvers.stationary import jacobi, richardson
 
 __all__ = [
-    "BlockSolverResult",
     "ConvergenceCriterion",
     "LinearOperator",
     "MatrixOperator",
@@ -31,12 +28,9 @@ __all__ = [
     "as_operator",
     "operator_matmat",
     "bicgstab",
-    "block_bicgstab",
-    "block_cg",
     "cg",
     "gmres",
     "solve_lockstep",
-    "solve_many",
     "ilu_preconditioner",
     "jacobi_preconditioner",
     "ssor_preconditioner",

@@ -93,8 +93,8 @@ def operator_matmat(op: LinearOperator, X: np.ndarray) -> np.ndarray:
 
     Routes through ``op.matmat`` (the fast multi-RHS path of the platform
     operators) when present; any operator exposing only the minimal
-    ``matvec`` protocol gets a per-column loop, so block solvers run on
-    every platform.
+    ``matvec`` protocol gets a per-column loop, so the lockstep gang
+    (:func:`repro.solvers.lockstep.solve_lockstep`) runs on every platform.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -191,7 +191,7 @@ def check_initial_guess(x0, shape, name: str = "x0",
 
     Returns a float64 array — a fresh copy by default, since solvers update
     the iterate in place — or ``None`` when no guess was given.  Callers
-    that only *read* the guess (e.g. ``solve_many``, whose per-column
+    that only *read* the guess (e.g. ``solve_lockstep``, whose per-column
     solvers make their own copies) pass ``copy=False`` to skip the block
     duplication.  A wrong-length, wrongly-shaped or non-finite guess fails
     here with a named error instead of crashing deep inside the first

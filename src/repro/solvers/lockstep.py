@@ -1,24 +1,22 @@
 """Lockstep gang batching: many single-RHS solves, one ``matmat`` per round.
 
-The service coalescer (:mod:`repro.service`) needs the impossible-sounding
-combination the block solvers cannot give it: the *batching economy* of one
-operator application per iteration across ``k`` right-hand sides, with
-results **bit-identical** to running each request through the plain
-single-vector solver on its own.  ``block_cg``'s k-dimensional search space
-changes the numerics, so it can never be the transparent fast path.
+The solve service (:mod:`repro.service`) coalesces concurrent same-key
+vector jobs and wants two things at once: one operator application per
+iteration across the ``k`` right-hand sides, and results **bit-identical**
+to running each request through the plain single-vector solver on its own.
 
 :func:`solve_lockstep` gets both by construction.  Each column runs the
-*unmodified* registered single-vector solver (``cg``/``bicgstab``/...) on
-its own worker thread against a proxy operator whose ``matvec`` rendezvous
-at a shared gate.  Once every still-active column has submitted its vector,
-one :func:`~repro.solvers.base.operator_matmat` over the stacked columns
-serves the whole round, and each column receives exactly its output column
-back.  Every platform operator's ``matmat`` is pinned bit-identical per
-column to its ``matvec`` (see :class:`~repro.solvers.base.MatrixOperator`),
-so each column's iterates, iteration count, residual history and breakdown
-behaviour are bit-identical to the serial :func:`~repro.solvers.block_cg.
-solve_many` path — while the engine sees one contraction per round instead
-of ``k``.
+*unmodified* single-vector solver it is handed (the daemon passes the
+registered ``SolverSpec.solve``) on its own worker thread, against a proxy
+operator whose ``matvec`` rendezvous at a shared gate.  Once every
+still-active column has submitted its vector, one
+:func:`~repro.solvers.base.operator_matmat` over the stacked columns serves
+the whole round, and each column receives exactly its output column back.
+Every platform operator's ``matmat`` is pinned bit-identical per column to
+its ``matvec`` (see :class:`~repro.solvers.base.MatrixOperator`), so each
+column's iterates, iteration count, residual history and breakdown
+behaviour are bit-identical to calling the solver once per column — while
+the engine sees one contraction per round instead of ``k``.
 
 Columns are allowed heterogeneous lifetimes: a column that converges,
 breaks down, or exits before its first apply simply leaves the gang, and
@@ -29,7 +27,7 @@ iteration stay in lockstep with themselves the same way).
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -42,13 +40,7 @@ from repro.solvers.base import (
     operator_matmat,
 )
 
-__all__ = ["LOCKSTEP_SOLVERS", "solve_lockstep"]
-
-#: Inner single-RHS solvers the gang can drive by name.  The solve
-#: service validates vector jobs against this set up front, so an
-#: unsupported solver is the submitting request's error, not a batch
-#: failure for everyone coalesced with it.
-LOCKSTEP_SOLVERS = ("cg", "bicgstab", "gmres")
+__all__ = ["solve_lockstep"]
 
 
 class _GateAborted(RuntimeError):
@@ -138,7 +130,7 @@ class _GangColumn:
 def solve_lockstep(
     A,
     B,
-    solver: Union[str, Callable[..., SolverResult]] = "cg",
+    solver: Callable[..., SolverResult],
     X0: Optional[np.ndarray] = None,
     criterion: Optional[ConvergenceCriterion] = None,
     batch_stats: Optional[dict] = None,
@@ -152,13 +144,12 @@ def solve_lockstep(
         The shared operator; built once.  Its ``matmat`` (when present)
         serves each lockstep round in one batched application.
     B : array_like of shape (n, k)
-        Right-hand sides.  Unlike :func:`~repro.solvers.block_cg.block_cg`,
-        duplicated or correlated columns are perfectly fine — columns never
-        mix numerically.
-    solver : str or callable
-        ``"cg"`` / ``"bicgstab"`` / ``"gmres"``, or any callable with the
-        ``solver(A, b, x0=..., criterion=..., **kwargs)`` convention.  Must
-        be a *single-vector* solver: each column runs it verbatim.
+        Right-hand sides.  Duplicated or correlated columns are fine —
+        columns never mix numerically.
+    solver : callable
+        A *single-vector* solver with the ``solver(A, b, x0=...,
+        criterion=..., **kwargs)`` convention (``cg``, ``bicgstab``, a
+        registered ``SolverSpec.solve``); each column runs it verbatim.
     X0 : array_like of shape (n, k), optional
         Per-column initial guesses.
     criterion : ConvergenceCriterion, optional
@@ -177,16 +168,6 @@ def solve_lockstep(
     """
     op = as_operator(A)
     B = check_block_system(op, B)
-    if isinstance(solver, str):
-        from repro.solvers.bicgstab import bicgstab
-        from repro.solvers.cg import cg
-        from repro.solvers.gmres import gmres
-
-        registry = {"cg": cg, "bicgstab": bicgstab, "gmres": gmres}
-        if solver not in registry:
-            raise KeyError(
-                f"solver must be one of {sorted(registry)}, got {solver!r}")
-        solver = registry[solver]
     X0 = check_initial_guess(X0, B.shape, name="X0", copy=False)
     k = B.shape[1]
     gate = _LockstepGate(op, k)

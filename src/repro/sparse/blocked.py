@@ -20,9 +20,9 @@ vectorised:
 * storage/occupancy statistics used by the accelerator mapping and the
   Table VIII memory accounting.
 
-The legacy block-grouping arrays (``order``, ``group_starts``, ...) remain
-available for cross-checking and compatibility; on a store attach they are
-derived lazily from the BSR view instead of being persisted.
+The block-grouping arrays (``order``, ``group_starts``, ``block_nnz``)
+remain for ``dense_block`` and for cross-checking; on a store attach they
+are derived lazily from the BSR view instead of being persisted.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class BlockedMatrix:
         self._order_arr = order
         self._group_starts_arr = group_starts
         self._block_nnz_arr = block_nnz
-        self._nnz_key_arr = key  # per-nonzero block key, in CSR order
 
     # ------------------------------------------------------------------
     # The contiguous layout and the (lazily derivable) grouping arrays.
@@ -145,89 +144,6 @@ class BlockedMatrix:
             self._block_nnz_arr = self.bsr.block_nnz
         return self._block_nnz_arr
 
-    @property
-    def _nnz_key(self) -> np.ndarray:
-        if self._nnz_key_arr is None:
-            self._nnz_key_arr = (self.block_keys[self.bsr.block_of_nnz]
-                                 if self.nnz else np.zeros(0, dtype=np.int64))
-        return self._nnz_key_arr
-
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict:
-        """The partition's derived arrays, for serialisation.
-
-        Together with the canonical CSR matrix (``self.A``) and ``b`` these
-        reconstruct the partition via :meth:`from_arrays` without re-running
-        the block-key argsort.  The asset store persists the BSR layout
-        instead (see :meth:`from_bsr`); this grouped form remains for
-        callers that serialise the partition themselves.  The
-        ``cached_property`` statistics (exponent bases etc.) are *not*
-        included; they recompute deterministically on demand.
-        """
-        return {
-            "order": self.order,
-            "group_starts": self.group_starts,
-            "block_keys": self.block_keys,
-            "block_nnz": self.block_nnz,
-            "nnz_key": self._nnz_key,
-        }
-
-    @classmethod
-    def from_arrays(cls, A: sp.csr_matrix, b: int, order: np.ndarray,
-                    group_starts: np.ndarray, block_keys: np.ndarray,
-                    block_nnz: np.ndarray, nnz_key: np.ndarray,
-                    ) -> "BlockedMatrix":
-        """Reattach a partition from :meth:`to_arrays` output without rebuilding.
-
-        ``A`` must be the canonical CSR the partition was computed from
-        (sorted, duplicate-free — ``BlockedMatrix.A`` as serialised); it is
-        used as-is, so read-only memory-mapped arrays work and nothing is
-        copied or re-sorted.  Structural consistency is always checked —
-        including that ``order`` is integer-typed and in-bounds, since a
-        tampered non-permutation ``order`` would silently misindex every
-        downstream gather.  The full O(nnz) permutation check runs only
-        when ``store_verify`` is on (the asset store's deep-verification
-        toggle); content integrity beyond that is the caller's job.
-        """
-        b = check_nonnegative_int(b, "b")
-        nnz = int(A.nnz)
-        if order.shape != (nnz,) or nnz_key.shape != (nnz,):
-            raise ValueError(
-                f"order/nnz_key must have {nnz} entries, got "
-                f"{order.shape}/{nnz_key.shape}")
-        if not np.issubdtype(order.dtype, np.integer):
-            raise ValueError(
-                f"order must be an integer array, got dtype {order.dtype}")
-        if nnz and (int(order.min()) < 0 or int(order.max()) >= nnz):
-            raise ValueError(
-                f"order entries must lie in [0, {nnz}), got "
-                f"[{int(order.min())}, {int(order.max())}]")
-        n_blocks = block_keys.shape[0]
-        if group_starts.shape != (n_blocks,) or block_nnz.shape != (n_blocks,):
-            raise ValueError(
-                f"group_starts/block_nnz must match block_keys "
-                f"({n_blocks} blocks), got {group_starts.shape}/{block_nnz.shape}")
-        if int(block_nnz.sum()) != nnz:
-            raise ValueError(
-                f"block_nnz sums to {int(block_nnz.sum())}, matrix has {nnz}")
-        from repro.api import config  # deferred: repro.api imports operators
-
-        if config.active().store_verify and nnz:
-            if np.unique(order).size != nnz:
-                raise ValueError(
-                    "order is not a permutation (duplicate entries)")
-        self = object.__new__(cls)
-        self.A = A
-        self.b = b
-        n_rows, n_cols = A.shape
-        self.block_grid = (-(-n_rows // (1 << b)), -(-n_cols // (1 << b)))
-        self._order_arr = order
-        self._group_starts_arr = group_starts
-        self.block_keys = block_keys
-        self._block_nnz_arr = block_nnz
-        self._nnz_key_arr = nnz_key
-        return self
-
     @classmethod
     def from_bsr(cls, A: sp.csr_matrix, bsr: BSRBlocks) -> "BlockedMatrix":
         """Attach a partition to a prebuilt :class:`BSRBlocks` view.
@@ -254,7 +170,6 @@ class BlockedMatrix:
         self._order_arr = None
         self._group_starts_arr = None
         self._block_nnz_arr = None
-        self._nnz_key_arr = None
         self.__dict__["bsr"] = bsr
         return self
 

@@ -24,7 +24,6 @@ from repro.api import (
     Registry,
     RunConfig,
     RunRequest,
-    SolverSpec,
     SuiteSpec,
     noisy_platform_spec,
     register_platform,
@@ -93,10 +92,8 @@ class TestRegistry:
     def test_builtin_registrations(self):
         for name in DEFAULT_PLATFORMS + ("noisy", "truncated"):
             assert name in PLATFORM_REGISTRY
-        for name in ("cg", "bicgstab", "block_cg", "solve_many"):
-            assert name in SOLVER_REGISTRY
-        assert SOLVER_REGISTRY.get("block_cg").multi_rhs
-        assert not SOLVER_REGISTRY.get("cg").multi_rhs
+        # The paper's two single-RHS solvers are the whole builtin set.
+        assert SOLVER_REGISTRY.names() == ("cg", "bicgstab")
 
     def test_results_from_requires_known_shape(self):
         with pytest.raises(ValueError, match="operator factory"):
@@ -326,10 +323,11 @@ class TestMatrixRunSubsets:
         assert run.results["feinberg_fc"] is run.results["gpu"]
 
     def test_multi_rhs_solver_rejected_by_run_matrix(self):
-        with pytest.raises(ValueError, match="multi-RHS"):
-            run_matrix(1311, "block_cg", "test")
-        with pytest.raises(KeyError, match="unknown solver"):
-            run_matrix(1311, "sor", "test")
+        # The batched solvers are gone: their names fail fast as unknown,
+        # like any other unregistered solver.
+        for name in ("block_cg", "solve_many", "lockstep", "sor"):
+            with pytest.raises(KeyError, match=f"unknown solver '{name}'"):
+                run_matrix(1311, name, "test")
 
     def test_unknown_platform_and_sid_fail_fast(self):
         with pytest.raises(KeyError, match="unknown platform"):

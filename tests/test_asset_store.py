@@ -1,11 +1,11 @@
 """Tests for the persistent on-disk asset store (``REPRO_ASSET_STORE``).
 
-Covers the serialisation round-trip helpers (CSR arrays, the
-:class:`BlockedMatrix` partition), the store itself (bit-identical hits,
-corruption/truncation fallback-and-replace, atomic publication), the
-three-level ``matrix_assets`` hierarchy, and — under the ``slow`` marker —
-a genuinely cold process attaching to a warm store with zero builds plus
-the process-pool fan-out against a warm store matching serial results.
+Covers the CSR-array serialisation helpers, the store itself
+(bit-identical hits, corruption/truncation fallback-and-replace, atomic
+publication), the three-level ``matrix_assets`` hierarchy, and — under
+the ``slow`` marker — a genuinely cold process attaching to a warm store
+with zero builds plus the process-pool fan-out against a warm store
+matching serial results.
 """
 
 import json
@@ -91,37 +91,6 @@ class TestCsrArrayRoundTrip:
         with pytest.raises(ValueError, match="column indices"):
             csr_from_arrays(data, np.array([5, 6], dtype=np.int32),
                             np.array([0, 1, 2]), (2, 3))
-
-
-class TestBlockedRoundTrip:
-    def test_from_arrays_matches_fresh_partition(self):
-        A = build_matrix(1288, "test")
-        orig = BlockedMatrix(A, b=4)
-        back = BlockedMatrix.from_arrays(orig.A, orig.b, **orig.to_arrays())
-        assert back.block_grid == orig.block_grid
-        assert back.n_blocks == orig.n_blocks
-        np.testing.assert_array_equal(back.order, orig.order)
-        np.testing.assert_array_equal(back.block_eb, orig.block_eb)
-        spec = ReFloatSpec(b=4, e=3, f=3)
-        _assert_same_csr(back.quantize(spec), orig.quantize(spec))
-
-    def test_from_arrays_validates_sizes(self):
-        A = build_matrix(353, "test")
-        orig = BlockedMatrix(A, b=4)
-        arrays = orig.to_arrays()
-        with pytest.raises(ValueError, match="order"):
-            BlockedMatrix.from_arrays(orig.A, orig.b,
-                                      arrays["order"][:-1],
-                                      arrays["group_starts"],
-                                      arrays["block_keys"],
-                                      arrays["block_nnz"],
-                                      arrays["nnz_key"])
-        with pytest.raises(ValueError, match="block"):
-            BlockedMatrix.from_arrays(orig.A, orig.b, arrays["order"],
-                                      arrays["group_starts"][:-1],
-                                      arrays["block_keys"],
-                                      arrays["block_nnz"],
-                                      arrays["nnz_key"])
 
 
 class TestStore:

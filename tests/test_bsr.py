@@ -10,9 +10,7 @@ here pins it against the representation it replaced:
 * the ``block_of_nnz``-derived exponent statistics and ``quantize`` match
   the old ``reduceat``-over-block-grouped-data formulas bit for bit
   (including the subnormal/EXP_ZERO corner);
-* ``from_bsr`` lazily re-derives the legacy grouping arrays identically;
-* the ``from_arrays`` order-validation bugfix rejects tampered
-  non-permutation arrays with named errors.
+* ``from_bsr`` lazily re-derives the legacy grouping arrays identically.
 """
 
 import numpy as np
@@ -215,7 +213,6 @@ class TestFromBsr:
         np.testing.assert_array_equal(back.group_starts, bm.group_starts)
         np.testing.assert_array_equal(back.block_keys, bm.block_keys)
         np.testing.assert_array_equal(back.block_nnz, bm.block_nnz)
-        np.testing.assert_array_equal(back._nnz_key, bm._nnz_key)
         assert back.b == bm.b and back.block_grid == bm.block_grid
 
     def test_statistics_identical_through_from_bsr(self, bm):
@@ -300,46 +297,3 @@ class TestLayoutValidation:
                            np.array([1, 2]), bsr.block_of_nnz)
         with pytest.raises(ValueError, match="no nonzero"):
             padded.check_matches(bm.A)
-
-
-class TestFromArraysValidation:
-    """The ISSUE 8 bugfix: a tampered ``order`` must not silently misindex."""
-
-    def _arrays(self):
-        bm = CASES["laplacian"]
-        return bm, bm.to_arrays()
-
-    def test_accepts_genuine_arrays(self):
-        bm, arrays = self._arrays()
-        back = BlockedMatrix.from_arrays(bm.A, bm.b, **arrays)
-        np.testing.assert_array_equal(back.block_eb, bm.block_eb)
-
-    def test_rejects_float_order(self):
-        bm, arrays = self._arrays()
-        arrays["order"] = arrays["order"].astype(np.float64)
-        with pytest.raises(ValueError, match="order must be an integer"):
-            BlockedMatrix.from_arrays(bm.A, bm.b, **arrays)
-
-    def test_rejects_out_of_bounds_order(self):
-        bm, arrays = self._arrays()
-        bad = arrays["order"].copy()
-        bad[3] = bm.nnz + 5
-        arrays["order"] = bad
-        with pytest.raises(ValueError, match="order entries must lie"):
-            BlockedMatrix.from_arrays(bm.A, bm.b, **arrays)
-        bad[3] = -1
-        with pytest.raises(ValueError, match="order entries must lie"):
-            BlockedMatrix.from_arrays(bm.A, bm.b, **arrays)
-
-    def test_rejects_duplicate_order_under_store_verify(self, monkeypatch):
-        bm, arrays = self._arrays()
-        bad = arrays["order"].copy()
-        bad[1] = bad[0]              # in-bounds, right dtype — but not a
-        arrays["order"] = bad        # permutation
-        monkeypatch.setenv("REPRO_ASSET_STORE_VERIFY", "1")
-        with pytest.raises(ValueError, match="not a permutation"):
-            BlockedMatrix.from_arrays(bm.A, bm.b, **arrays)
-        # With deep verification off the cheap checks still pass it through
-        # (the store pairs this with checksums, which catch the tampering).
-        monkeypatch.setenv("REPRO_ASSET_STORE_VERIFY", "0")
-        BlockedMatrix.from_arrays(bm.A, bm.b, **arrays)

@@ -540,50 +540,6 @@ class TestConverterBatch:
         np.testing.assert_array_equal(bebv[:, 0], ebv)
 
 
-class TestEngineBatch:
-    """Batched engine MVMs must be bit-identical to their per-vector paths."""
-
-    def test_processing_engine_batch(self, rng):
-        spec = ReFloatSpec(b=3, e=3, f=3, ev=3, fv=8)
-        block = random_float_array(rng, 64, exp_range=(-4, 4)).reshape(8, 8)
-        engine = ProcessingEngine(block, spec)
-        S = np.stack([random_float_array(rng, 8, exp_range=(-5, 3),
-                                         include_zero=True)
-                      for _ in range(5)])
-        batched = engine.multiply_batch(S)
-        for i in range(5):
-            np.testing.assert_array_equal(batched[i], engine.multiply(S[i]))
-        with pytest.raises(ValueError):
-            engine.multiply_batch(S[:, :5])
-
-    @pytest.mark.parametrize("b,n,density", [(3, 24, 0.3), (3, 29, 0.2),
-                                             (2, 17, 0.4)])
-    def test_blocked_engine_batch(self, rng, b, n, density):
-        spec = ReFloatSpec(b=b, e=3, f=3, ev=3, fv=8)
-        A = sp.random(n, n, density=density, random_state=int(n + b),
-                      data_rvs=lambda k: random_float_array(rng, k, (-4, 4)))
-        engine = BlockedEngine(BlockedMatrix(A, b=b), spec)
-        X = np.column_stack([
-            random_float_array(rng, n, exp_range=(-5, 3), include_zero=True)
-            for _ in range(4)])
-        batched = engine.multiply_batch(X)
-        assert batched.shape == (n, 4)
-        for j in range(4):
-            np.testing.assert_array_equal(batched[:, j],
-                                          engine.multiply(X[:, j]))
-
-    def test_blocked_engine_batch_validation(self):
-        spec = ReFloatSpec(b=2, e=3, f=3, ev=3, fv=8)
-        engine = BlockedEngine(BlockedMatrix(sp.eye(4, format="csr"), b=2),
-                               spec)
-        with pytest.raises(ValueError):
-            engine.multiply_batch(np.ones(4))           # 1-D
-        with pytest.raises(ValueError):
-            engine.multiply_batch(np.ones((5, 2)))      # wrong rows
-        with pytest.raises(ValueError, match="binary64 normal range"):
-            engine.multiply_batch(np.full((4, 2), 2.0 ** -1015))
-
-
 class TestOperatorMatmat:
     """Operator matmat must be bit-identical per column to matvec."""
 

@@ -383,3 +383,18 @@ class TestReportCLI:
                          "--json", str(out_file)]) == 0
         payload = json.loads(out_file.read_text())
         assert len(payload["records"]) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_report_last_below_one_is_a_usage_error(self, ledger_env,
+                                                    capsys, value):
+        # records[-N:] would replay the whole ledger for 0 and drop the
+        # oldest records for -N.
+        RunLedger(ledger_env).append({
+            "type": "RunLedger", "version": ledger.LEDGER_VERSION,
+            "kind": "suite", "ts": 1.0, "scale": "test",
+            "config": RunConfig().to_dict(), "runs": [_run_dict()],
+            "failures": []})
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["report", "--last", value])
+        assert exc.value.code == 2
+        assert "--last must be an integer >= 1" in capsys.readouterr().err

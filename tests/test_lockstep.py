@@ -3,17 +3,16 @@
 The coalescer's bit-identity guarantee rests on ``solve_lockstep``: the
 unmodified single-RHS solver runs once per column, every column's matvec
 rendezvous at a shared gate, and one ``operator_matmat`` serves each
-round.  These tests pin the guarantee (outputs exactly equal to
-:func:`solve_many`, column by column) and the batching economy (one
+round.  These tests pin the guarantee (outputs exactly equal to the
+solver run once per column on its own) and the batching economy (one
 matmat per gang round instead of one matvec per column per round).
 """
 
 import numpy as np
 import pytest
 
-from repro.api.registry import SOLVER_REGISTRY
 from repro.experiments.common import platform_operator
-from repro.solvers import solve_lockstep, solve_many
+from repro.solvers import bicgstab, cg, solve_lockstep
 from repro.sparse.gallery import build_matrix
 
 
@@ -40,17 +39,24 @@ def _rhs_block(n, k, seed=11):
     return rng.standard_normal((n, k))
 
 
+def _per_column(op, B, solver, X0=None):
+    """The serial reference: ``solver`` once per column, on its own."""
+    return [solver(op, B[:, j], x0=None if X0 is None else X0[:, j])
+            for j in range(B.shape[1])]
+
+
 @pytest.fixture
 def spd_op():
     return _CountingOperator(build_matrix(2257, "test"))
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("solver", ["cg", "bicgstab"])
-    def test_matches_solve_many_on_counting_operator(self, spd_op, solver):
+    @pytest.mark.parametrize("solver", [cg, bicgstab],
+                             ids=["cg", "bicgstab"])
+    def test_matches_per_column_on_counting_operator(self, spd_op, solver):
         B = _rhs_block(spd_op.shape[0], 5)
-        serial = solve_many(spd_op, B, solver=solver)
-        gang = solve_lockstep(spd_op, B, solver=solver)
+        serial = _per_column(spd_op, B, solver)
+        gang = solve_lockstep(spd_op, B, solver)
         assert len(gang) == len(serial)
         for got, ref in zip(gang, serial):
             assert np.array_equal(got.x, ref.x)
@@ -60,27 +66,27 @@ class TestBitIdentity:
             assert got.residual_history == ref.residual_history
 
     @pytest.mark.parametrize("platform", ["refloat", "gpu"])
-    def test_matches_solve_many_on_platform_operator(self, platform):
+    def test_matches_per_column_on_platform_operator(self, platform):
         _, op = platform_operator(2257, "test", platform=platform)
         B = _rhs_block(op.shape[0], 4)
-        serial = solve_many(op, B, solver="cg")
-        gang = solve_lockstep(op, B, solver="cg")
+        serial = _per_column(op, B, cg)
+        gang = solve_lockstep(op, B, cg)
         for got, ref in zip(gang, serial):
             assert np.array_equal(got.x, ref.x)
             assert got.iterations == ref.iterations
 
     def test_single_column_and_1d_rhs(self, spd_op):
         b = _rhs_block(spd_op.shape[0], 1)
-        one = solve_lockstep(spd_op, b, solver="cg")
-        ref = solve_many(spd_op, b, solver="cg")[0]
+        one = solve_lockstep(spd_op, b, cg)
+        ref = cg(spd_op, b[:, 0])
         assert len(one) == 1
         assert np.array_equal(one[0].x, ref.x)
 
     def test_initial_guess_columns(self, spd_op):
         B = _rhs_block(spd_op.shape[0], 3)
         X0 = _rhs_block(spd_op.shape[0], 3, seed=5) * 0.1
-        gang = solve_lockstep(spd_op, B, solver="cg", X0=X0)
-        serial = solve_many(spd_op, B, solver="cg", X0=X0)
+        gang = solve_lockstep(spd_op, B, cg, X0=X0)
+        serial = _per_column(spd_op, B, cg, X0=X0)
         for got, ref in zip(gang, serial):
             assert np.array_equal(got.x, ref.x)
 
@@ -90,7 +96,7 @@ class TestBatchingEconomy:
         k = 6
         B = _rhs_block(spd_op.shape[0], k)
         stats = {}
-        gang = solve_lockstep(spd_op, B, solver="cg", batch_stats=stats)
+        gang = solve_lockstep(spd_op, B, cg, batch_stats=stats)
         # Every round was served by exactly one matmat: the gang never
         # fell back to per-column matvecs.
         assert spd_op.n_matvecs == 0
@@ -109,8 +115,8 @@ class TestBatchingEconomy:
         B = np.stack([easy, rng.standard_normal(n),
                       rng.standard_normal(n)], axis=1)
         stats = {}
-        gang = solve_lockstep(spd_op, B, solver="cg", batch_stats=stats)
-        serial = solve_many(spd_op, B, solver="cg")
+        gang = solve_lockstep(spd_op, B, cg, batch_stats=stats)
+        serial = _per_column(spd_op, B, cg)
         for got, ref in zip(gang, serial):
             assert np.array_equal(got.x, ref.x)
             assert got.iterations == ref.iterations
@@ -120,21 +126,10 @@ class TestBatchingEconomy:
 
 
 class TestValidation:
-    def test_registered_as_multi_rhs(self):
-        spec = SOLVER_REGISTRY.get("lockstep")
-        assert spec.multi_rhs
-        assert spec.solve is solve_lockstep
-
-    def test_rejects_unknown_inner_solver(self, spd_op):
-        B = _rhs_block(spd_op.shape[0], 2)
-        with pytest.raises(KeyError, match="block_cg"):
-            solve_lockstep(spd_op, B, solver="block_cg")
-
     def test_rejects_bad_initial_guess_shape(self, spd_op):
         B = _rhs_block(spd_op.shape[0], 2)
         with pytest.raises(ValueError, match="X0"):
-            solve_lockstep(spd_op, B, solver="cg",
-                           X0=np.zeros((spd_op.shape[0], 3)))
+            solve_lockstep(spd_op, B, cg, X0=np.zeros((spd_op.shape[0], 3)))
 
     def test_operator_failure_propagates(self):
         class Exploding:
@@ -147,4 +142,4 @@ class TestValidation:
                 raise RuntimeError("boom in matmat")
 
         with pytest.raises(RuntimeError, match="boom in matmat"):
-            solve_lockstep(Exploding(), np.ones((8, 2)), solver="cg")
+            solve_lockstep(Exploding(), np.ones((8, 2)), cg)

@@ -212,13 +212,21 @@ class TestDaemonEndToEnd:
         assert stats["service"]["vector_jobs"] == k
         assert stats["service"]["batch_matmats"] > 0
 
-    def test_bad_rhs_fails_alone_not_the_batch(self, service):
+    @pytest.mark.parametrize("bad", ["wrong-length", "nan"])
+    def test_bad_rhs_fails_alone_not_the_batch(self, service, bad):
         svc, client = service
         sid = 2257
         _, op = platform_operator(sid, "test")
         n = op.shape[0]
         rng = np.random.default_rng(23)
         good_rhs = rng.standard_normal(n)
+        if bad == "wrong-length":
+            bad_rhs, error = np.ones(3), "rhs must have length"
+        else:
+            # JSON carries the NaN through (json.dumps and json.loads both
+            # accept it), so only the daemon can keep it out of the block.
+            bad_rhs, error = np.ones(n), "rhs contains non-finite values"
+            bad_rhs[0] = np.nan
         outcomes = {}
 
         def send(name, rhs):
@@ -231,7 +239,7 @@ class TestDaemonEndToEnd:
 
         threads = [
             threading.Thread(target=send, args=("good", good_rhs)),
-            threading.Thread(target=send, args=("bad", np.ones(3))),
+            threading.Thread(target=send, args=("bad", bad_rhs)),
             threading.Thread(target=send, args=("good2", good_rhs)),
         ]
         for t in threads:
@@ -239,7 +247,7 @@ class TestDaemonEndToEnd:
         for t in threads:
             t.join(timeout=120)
         assert isinstance(outcomes["bad"], ServiceError)
-        assert "rhs must have length" in str(outcomes["bad"])
+        assert error in str(outcomes["bad"])
         crit = active_config().effective_criterion
         ref = cg(op, good_rhs, criterion=crit)
         for name in ("good", "good2"):
@@ -248,10 +256,12 @@ class TestDaemonEndToEnd:
 
     def test_unsupported_solver_rejected_up_front(self, service):
         svc, client = service
-        job = VectorJob(sid=2257, scale="test", solver="block_cg")
-        with pytest.raises(ServiceError) as excinfo:
-            client.solve_vector(job)
-        assert excinfo.value.status == 400
+        for solver in ("block_cg", "gmres"):
+            job = VectorJob(sid=2257, scale="test", solver=solver)
+            with pytest.raises(ServiceError) as excinfo:
+                client.solve_vector(job)
+            assert excinfo.value.status == 400
+            assert "registered: ['bicgstab', 'cg']" in str(excinfo.value)
 
     def test_engine_request_matches_local_run(self, service):
         svc, client = service
@@ -313,6 +323,28 @@ class TestDaemonEndToEnd:
                                      b"Host: x\r\n\r\n")
             assert health.status == 200
             assert json.loads(health.read())["ok"] is True
+
+
+class TestInProcessDaemon:
+    def test_close_without_serve_loop_returns(self):
+        # Driven through submit_vector only: serve_forever never runs, so
+        # close() must not wait for a serve loop to acknowledge shutdown.
+        outcome = {}
+
+        def drive():
+            with SolveService(port=0) as svc:
+                outcome["result"] = svc.submit_vector(
+                    VectorJob(sid=1313, scale="test")).result(timeout=60)
+            outcome["closed"] = True
+
+        thread = threading.Thread(target=drive, daemon=True)
+        try:
+            thread.start()
+            thread.join(timeout=30)
+            assert outcome.get("closed"), "close() hung without a serve loop"
+            assert outcome["result"]["converged"]
+        finally:
+            clear_run_caches()
 
 
 class TestServiceClient:

@@ -339,9 +339,10 @@ class TestRunSweep:
             (spec.tokens()[0],)
 
     def test_multi_rhs_solver_rejected(self):
+        # A retired batched-solver name fails fast as an unknown solver.
         spec = SweepSpec(family="noisy", grid=self.GRID, sids=(355,),
                          scale="test", solvers=("block_cg",))
-        with pytest.raises(ValueError, match="multi-RHS"):
+        with pytest.raises(KeyError, match="unknown solver 'block_cg'"):
             run_sweep(spec, max_workers=1)
 
     def test_variant_tokens_work_in_run_suite(self, fresh_caches,
@@ -386,8 +387,6 @@ class TestCriterion:
         budget = ConvergenceCriterion(max_iterations=2)
         with api_config.use(RunConfig(criterion=budget)):
             for solver in SOLVER_REGISTRY.names():
-                if SOLVER_REGISTRY.get(solver).multi_rhs:
-                    continue
                 run = run_matrix(1311, solver, "test", platforms=("gpu",))
                 assert run.results["gpu"].iterations <= 2, solver
 
