@@ -125,11 +125,13 @@ def quantize_vector_feinberg(x, anchor, spec: FeinbergSpec) -> np.ndarray:
     if lo < 1 or top > 2046:
         return quantize_vector_feinberg_reference(x, anchor, spec)
 
-    field = ieee.exponent_field(x, validate=False)
+    bits = x.view(np.int64)
+    # The biased exponent field: 0 for zeros and subnormals, 0x7FF for
+    # inf/NaN.  The mask drops the arithmetic shift's sign extension.
+    field = (bits >> _SHIFT) & np.int64(0x7FF)
     if field.max(initial=0) == 0x7FF:
         raise ValueError(ieee.NONFINITE_MSG)
-    d = field.view(np.int64) - np.int64(lo)  # binades above the window bottom
-    bits = x.view(np.int64)
+    d = field - np.int64(lo)  # binades above the window bottom
     # Keep the sign, the exponent and the top frac_bits fraction bits.
     out = bits & np.int64(-(1 << (ieee.FRAC_BITS - spec.frac_bits)))
     if spec.policy == "wrap":

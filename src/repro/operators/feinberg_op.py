@@ -22,6 +22,7 @@ from repro.formats.feinberg import (
     matrix_anchor_exponent,
     quantize_vector_feinberg,
 )
+from repro.solvers.base import csr_matvec
 from repro.sparse.blocked import canonical_csr
 
 __all__ = ["FeinbergOperator", "FeinbergFcOperator"]
@@ -70,7 +71,7 @@ class FeinbergOperator:
             self._per_elem_anchor = np.repeat(anchors, 1 << block_b)[:n_cols]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ self.quantize_input(x)
+        return csr_matvec(self.A, self.quantize_input(x))
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Batched :meth:`matvec`: window-quantise ``k`` columns, one SpMM.
@@ -102,7 +103,7 @@ class FeinbergFcOperator:
         self.shape = self.A.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ np.asarray(x, dtype=np.float64)
+        return csr_matvec(self.A, np.asarray(x, dtype=np.float64))
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self.A @ np.asarray(X, dtype=np.float64)

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from repro.formats.refloat import DEFAULT_SPEC, ReFloatSpec
 from repro.operators.refloat_op import ReFloatOperator
+from repro.solvers.base import csr_matvec
 from repro.util.rng import SeedLike, default_rng
 from repro.util.validation import check_in_range
 
@@ -55,10 +56,16 @@ class NoisyReFloatOperator:
         return 1.0 + self.sigma * self.rng.standard_normal(self.A.nnz)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Quantise the input, then multiply by this apply's noisy matrix.
+
+        One draw per apply (none when frozen): the conductances
+        ``A.data * factor`` go straight to the SpMV kernel as its values
+        (:func:`repro.solvers.base.csr_matvec`), so no matrix is built.
+        """
         xq = self._base.quantize_input(x, reuse=True)
         if self.sigma == 0.0:
-            return self.A @ xq
-        return self._noisy_matrix() @ xq
+            return csr_matvec(self.A, xq)
+        return csr_matvec(self.A, xq, data=self._noisy_data())
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Batched :meth:`matvec` with ONE conductance realisation per batch.
@@ -71,13 +78,14 @@ class NoisyReFloatOperator:
         Xq = self._base.quantize_input_batch(X, reuse=True)
         if self.sigma == 0.0:
             return self.A @ Xq
-        return self._noisy_matrix() @ Xq
+        noisy = sp.csr_matrix((self._noisy_data(), self.A.indices,
+                               self.A.indptr), shape=self.shape)
+        return noisy @ Xq
 
-    def _noisy_matrix(self) -> sp.csr_matrix:
+    def _noisy_data(self) -> np.ndarray:
+        """This apply's conductances: the stored values times one draw."""
         factor = self._draw() if self.fresh_per_apply else self._frozen
-        return sp.csr_matrix(
-            (self.A.data * factor, self.A.indices, self.A.indptr),
-            shape=self.shape)
+        return self.A.data * factor
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NoisyReFloatOperator(sigma={self.sigma}, {self.spec})"

@@ -12,7 +12,10 @@ crossbar-level datapath is verified in :mod:`repro.hardware.engine` tests.
 Hot path: ``matvec`` converts through a cached
 :class:`repro.formats.refloat.VectorConverterPlan`, so a solver iteration
 re-derives no segment structure and allocates nothing for the conversion
-(the plan's per-thread scratch buffers are reused).  Callers that already
+(the plan's per-thread scratch buffers are reused).  The SpMV then calls
+scipy's compiled CSR kernel through :func:`repro.solvers.base.csr_matvec`,
+skipping the ``@`` dispatch that costs more than the kernel at solver
+sizes; the result is bit-identical to ``A @ xq``.  Callers that already
 partitioned the matrix pass it via ``blocked=`` to skip the second partition
 the constructor would otherwise redo.
 """
@@ -28,6 +31,7 @@ from repro.formats.refloat import (
     ReFloatSpec,
     vector_converter_plan,
 )
+from repro.solvers.base import csr_matvec
 from repro.sparse.blocked import BlockedMatrix
 from repro.sparse.mmio import csr_from_arrays
 
@@ -99,7 +103,7 @@ class ReFloatOperator:
         the SpMV output is a fresh array.
         """
         xq, _ = self._plan.convert(np.asarray(x, dtype=np.float64))
-        return self.A @ xq
+        return csr_matvec(self.A, xq)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Batched :meth:`matvec`: quantise and multiply ``k`` columns at once.

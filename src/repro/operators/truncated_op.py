@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.ieee import quantize_ieee
+from repro.solvers.base import csr_matvec
 
 __all__ = ["TruncatedOperator"]
 
@@ -35,7 +36,7 @@ class TruncatedOperator:
         x = np.asarray(x, dtype=np.float64)
         if self.truncate_vector:
             x = quantize_ieee(x, self.exp_bits, self.frac_bits, rounding=self.rounding)
-        return self.A @ x
+        return csr_matvec(self.A, x)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TruncatedOperator(exp={self.exp_bits}, frac={self.frac_bits})"

@@ -373,13 +373,16 @@ class _Handler(BaseHTTPRequestHandler):
                 job = VectorJob.from_dict(payload)
                 out = self.service.submit_vector(job).result()
                 if "error" in out:
-                    response = {"type": "SolveResponse",
-                                "version": SERVICE_VERSION,
-                                "result": None, "error": out["error"]}
-                else:
-                    response = {"type": "SolveResponse",
-                                "version": SERVICE_VERSION,
-                                "result": out, "error": None}
+                    # The batch rejected this job's RHS: a client error,
+                    # like any other 400, and not a served solve.
+                    self._send_json(400, {"type": "SolveResponse",
+                                          "version": SERVICE_VERSION,
+                                          "result": None,
+                                          "error": out["error"]})
+                    return
+                response = {"type": "SolveResponse",
+                            "version": SERVICE_VERSION,
+                            "result": out, "error": None}
             else:
                 self._send_json(400, {
                     "error": f"solve payloads must be tagged "

@@ -16,12 +16,18 @@ from typing import List, Optional, Protocol, runtime_checkable
 import numpy as np
 import scipy.sparse as sp
 
+try:  # scipy's private compiled CSR kernel, the one ``A @ x`` ends in
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec_kernel
+except ImportError:  # pragma: no cover - a scipy that no longer exposes it
+    _csr_matvec_kernel = None
+
 __all__ = [
     "LinearOperator",
     "MatrixOperator",
     "SolverResult",
     "ConvergenceCriterion",
     "as_operator",
+    "csr_matvec",
     "operator_matmat",
     "check_system",
     "check_block_system",
@@ -58,6 +64,38 @@ class LinearOperator(Protocol):
         ...
 
 
+def csr_matvec(A, x, data=None) -> np.ndarray:
+    """``A @ x`` for a CSR matrix, calling scipy's compiled kernel directly.
+
+    The platform operators' per-apply SpMV.  At solver sizes an apply costs
+    more in scipy's ``@`` dispatch than in the kernel, so when ``A`` is CSR,
+    ``x`` is a 1-D float64 ndarray of length ``A.shape[1]`` and the values
+    are float64 of ``A.data``'s shape, this allocates the output and calls
+    ``csr_matvec`` itself, as scipy's ``_matmul_vector`` does: the same
+    kernel over the same index order, so the result is bit-identical to
+    ``A @ x``.  ``data`` replaces ``A.data`` as the values (the noisy
+    operator's per-apply conductances) without building a matrix.
+
+    Every other input goes through ``A @ x`` (with ``data``, over a CSR
+    built from ``(data, A.indices, A.indptr)``), so scipy still converts
+    lists and int vectors and rejects a wrong length or a short ``data``.
+    Without the kernel (a scipy that stops exposing it) the helper is
+    just ``A @ x``.
+    """
+    vals = A.data if data is None else data
+    if (_csr_matvec_kernel is not None and A.format == "csr"
+            and type(x) is np.ndarray and x.dtype == np.float64
+            and vals.dtype == np.float64 and vals.shape == A.data.shape):
+        m, n = A.shape
+        if x.shape == (n,):
+            y = np.zeros(m)  # the kernel adds each row's sum into y
+            _csr_matvec_kernel(m, n, A.indptr, A.indices, vals, x, y)
+            return y
+    if data is not None:
+        A = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+    return A @ x
+
+
 class MatrixOperator:
     """Exact FP64 SpMV backed by a scipy sparse matrix."""
 
@@ -66,7 +104,7 @@ class MatrixOperator:
         self.shape = self.A.shape
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x
+        return csr_matvec(self.A, x)
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         """Batched :meth:`matvec`: one SpMM over ``(n, k)`` columns.

@@ -7,6 +7,7 @@ the evaluation uses it on the same SPD suite as CG, as the paper does.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,21 +75,21 @@ def bicgstab(
 
     for k in range(1, crit.max_iterations + 1):
         rho = float(r_hat @ r)
-        if not np.isfinite(rho) or rho == 0.0:
+        if not math.isfinite(rho) or rho == 0.0:
             return _fail(k - 1, "rho breakdown")
         beta = (rho / rho_prev) * (alpha / omega)
         p = r + beta * (p - omega * v)
         phat = prec(p)
-        if not np.all(np.isfinite(phat)):
+        if not np.isfinite(phat).all():
             return _fail(k - 1, "non-finite direction")
         v = op.matvec(phat)
         matvecs += 1
         denom = float(r_hat @ v)
-        if not np.isfinite(denom) or denom == 0.0:
+        if not math.isfinite(denom) or denom == 0.0:
             return _fail(k - 1, "r_hat'v breakdown")
         alpha = rho / denom
         s = r - alpha * v
-        s_norm = float(np.linalg.norm(s))
+        s_norm = math.sqrt(s.dot(s))  # np.linalg.norm's own 1-D formula
         if s_norm < threshold:
             # Early half-step convergence.
             x += alpha * phat
@@ -100,20 +101,20 @@ def bicgstab(
                                 residual_norm=r_norm, residual_history=history,
                                 matvecs=matvecs)
         shat = prec(s)
-        if not np.all(np.isfinite(shat)):
+        if not np.isfinite(shat).all():
             return _fail(k - 1, "non-finite half-step")
         t = op.matvec(shat)
         matvecs += 1
         tt = float(t @ t)
-        if not np.isfinite(tt) or tt == 0.0:
+        if not math.isfinite(tt) or tt == 0.0:
             return _fail(k - 1, "t't breakdown")
         omega = float(t @ s) / tt
-        if not np.isfinite(omega) or omega == 0.0:
+        if not math.isfinite(omega) or omega == 0.0:
             return _fail(k - 1, "omega breakdown")
         x += alpha * phat + omega * shat
         r = s - omega * t
         rho_prev = rho
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(r.dot(r))
         history.append(r_norm)
         if callback:
             callback(k, x, r_norm)
@@ -121,7 +122,7 @@ def bicgstab(
             return SolverResult(x=x, converged=True, iterations=k,
                                 residual_norm=r_norm, residual_history=history,
                                 matvecs=matvecs)
-        if not np.isfinite(r_norm) or r_norm > crit.divergence_factor * history[0]:
+        if not math.isfinite(r_norm) or r_norm > crit.divergence_factor * history[0]:
             return _fail(k, "divergence")
 
     return SolverResult(x=x, converged=False, iterations=crit.max_iterations,

@@ -7,6 +7,7 @@ preconditioner.  All vector arithmetic is FP64; the operator may quantise.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,21 +86,21 @@ def cg(
     rho = float(r @ z)
 
     for k in range(1, crit.max_iterations + 1):
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             return SolverResult(x=x, converged=False, iterations=k - 1,
                                 residual_norm=r_norm, residual_history=history,
                                 breakdown="non-finite direction", matvecs=matvecs)
         q = op.matvec(p)
         matvecs += 1
         pq = float(p @ q)
-        if not np.isfinite(pq) or pq == 0.0:
+        if not math.isfinite(pq) or pq == 0.0:
             return SolverResult(x=x, converged=False, iterations=k - 1,
                                 residual_norm=r_norm, residual_history=history,
                                 breakdown="p'Ap breakdown", matvecs=matvecs)
         alpha = rho / pq
         x += alpha * p
         r -= alpha * q
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(r.dot(r))  # np.linalg.norm's own 1-D formula
         history.append(r_norm)
         if callback:
             callback(k, x, r_norm)
@@ -107,7 +108,7 @@ def cg(
             return SolverResult(x=x, converged=True, iterations=k,
                                 residual_norm=r_norm, residual_history=history,
                                 matvecs=matvecs)
-        if not np.isfinite(r_norm) or r_norm > crit.divergence_factor * history[0]:
+        if not math.isfinite(r_norm) or r_norm > crit.divergence_factor * history[0]:
             return SolverResult(x=x, converged=False, iterations=k,
                                 residual_norm=r_norm, residual_history=history,
                                 breakdown="divergence", matvecs=matvecs)

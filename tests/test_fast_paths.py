@@ -14,7 +14,10 @@ around; these tests pin the equivalences:
   ``record_trace`` loop;
 * :class:`BlockedEngine` vs one :class:`ProcessingEngine` per occupied block;
 * operators built from a prebuilt :class:`BlockedMatrix` vs from scratch;
-* parallel :func:`run_suite` vs a serial :func:`run_matrix`.
+* parallel :func:`run_suite` vs a serial :func:`run_matrix`;
+* :func:`repro.solvers.base.csr_matvec` (scipy's CSR kernel called
+  directly) vs ``A @ x``, on every CSR layout and on the inputs it hands
+  back to ``A @ x``.
 """
 
 import threading
@@ -39,7 +42,10 @@ from repro.formats.refloat import (
 )
 from repro.hardware import BlockedEngine, CrossbarMVM, ProcessingEngine
 from repro.operators import FeinbergOperator, NoisyReFloatOperator, ReFloatOperator
+from repro.solvers import base as solvers_base
+from repro.solvers.base import csr_matvec
 from repro.sparse.blocked import BlockedMatrix
+from repro.sparse.mmio import csr_from_arrays
 
 def random_float_array(rng, n, exp_range=(-20, 20), include_zero=False):
     """Random finite doubles with a controlled exponent spread."""
@@ -648,6 +654,128 @@ class TestOperatorMatmat:
             np.testing.assert_array_equal(Y[:, j], op.matvec(X[:, j]))
         with pytest.raises(ValueError):
             operator_matmat(op, X[:, 0])
+
+
+def _csr_case(rng, m, n, nnz, index_dtype, layout):
+    """An ``m x n`` CSR with ``nnz`` stored entries in one of three layouts.
+
+    Rows are filled in order but columns are drawn at random, so rows hold
+    unsorted columns and duplicates; about a fifth of the values are
+    explicit zeros, and short rows leave some rows empty.  ``"scipy"``
+    builds through the constructor (which may narrow the index dtype),
+    ``"canonical"`` is that matrix after ``sum_duplicates``, and
+    ``"read-only"`` wraps write-protected arrays of exactly ``index_dtype``
+    with :func:`csr_from_arrays`, as the asset store attaches them.
+    """
+    rows = np.sort(rng.integers(0, m, nnz))
+    indices = rng.integers(0, n, nnz).astype(index_dtype)
+    indptr = np.zeros(m + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    data = random_float_array(rng, nnz, exp_range=(-60, 60))
+    data[rng.random(nnz) < 0.2] = 0.0
+    if layout == "read-only":
+        for arr in (data, indices, indptr):
+            arr.setflags(write=False)
+        return csr_from_arrays(data, indices, indptr, (m, n))
+    A = sp.csr_matrix((data, indices, indptr), shape=(m, n))
+    if layout == "canonical":
+        A.sum_duplicates()
+    return A
+
+
+def _strided(rng, n, stride):
+    """A length-``n`` float64 vector, a strided view when ``stride > 1``."""
+    return random_float_array(rng, n * stride, exp_range=(-60, 60))[::stride]
+
+
+CSR_LAYOUTS = ("scipy", "canonical", "read-only")
+
+
+class TestCsrMatvec:
+    """``csr_matvec`` vs ``A @ x``: the same kernel, so the same bits."""
+
+    def _assert_same_as_matmul(self, A, x, rng):
+        _assert_same_bits(csr_matvec(A, x), A @ x)
+        data = random_float_array(rng, A.nnz, exp_range=(-60, 60))
+        ref = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape) @ x
+        _assert_same_bits(csr_matvec(A, x, data=data), ref)
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 40),
+           st.sampled_from([np.int32, np.int64]),
+           st.sampled_from(CSR_LAYOUTS), st.sampled_from([1, 3]),
+           st.integers(0, 2 ** 31))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_hypothesis(self, m, n, nnz, index_dtype, layout,
+                                      stride, seed):
+        rng = np.random.default_rng(seed)
+        A = _csr_case(rng, m, n, nnz, index_dtype, layout)
+        self._assert_same_as_matmul(A, _strided(rng, n, stride), rng)
+
+    @pytest.mark.parametrize("m, n, nnz", [(1, 1, 1), (1, 1, 0), (5, 5, 0),
+                                           (3, 8, 6), (8, 3, 6), (9, 9, 3)])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("layout", CSR_LAYOUTS)
+    def test_edge_shapes(self, rng, m, n, nnz, index_dtype, layout):
+        A = _csr_case(rng, m, n, nnz, index_dtype, layout)
+        self._assert_same_as_matmul(A, _strided(rng, n, 1), rng)
+        self._assert_same_as_matmul(A, _strided(rng, n, 2), rng)
+
+    def test_kernel_runs_on_the_guarded_path_only(self, rng, small_spd,
+                                                   monkeypatch):
+        kernel = solvers_base._csr_matvec_kernel
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(solvers_base, "_csr_matvec_kernel", spy)
+        A = sp.csr_matrix(small_spd)
+        x = rng.standard_normal(A.shape[1])
+        csr_matvec(A, x)
+        csr_matvec(A, x, data=A.data * 2.0)
+        assert len(calls) == 2
+        csr_matvec(A, x.astype(np.float32))
+        csr_matvec(A, x.reshape(-1, 1))
+        csr_matvec(A, x, data=A.data.astype(np.float32))
+        csr_matvec(A.tocsc(), x)
+        assert len(calls) == 2
+
+    def test_wrong_length_raises_like_matmul(self, rng, small_spd):
+        A = sp.csr_matrix(small_spd)
+        x = rng.standard_normal(A.shape[1] + 1)
+        with pytest.raises(ValueError) as ours:
+            csr_matvec(A, x)
+        with pytest.raises(ValueError) as theirs:
+            A @ x
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("convert", [
+        lambda x: np.rint(x).astype(np.int64),
+        lambda x: [float(v) for v in x],
+        lambda x: x.reshape(-1, 1),
+    ], ids=["int-vector", "list", "column"])
+    def test_other_inputs_fall_back_to_matmul(self, rng, small_spd, convert):
+        A = sp.csr_matrix(small_spd)
+        x = convert(4.0 * rng.standard_normal(A.shape[1]))
+        ours, ref = csr_matvec(A, x), A @ x
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        np.testing.assert_array_equal(ours, ref)
+
+    def test_short_data_falls_back_and_raises(self, rng, small_spd):
+        A = sp.csr_matrix(small_spd)
+        x = rng.standard_normal(A.shape[1])
+        short = A.data[:-1] * 2.0
+        with pytest.raises(ValueError) as ours:
+            csr_matvec(A, x, data=short)
+        with pytest.raises(ValueError) as theirs:
+            sp.csr_matrix((short, A.indices, A.indptr), shape=A.shape)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_without_the_kernel_is_matmul(self, rng, small_spd, monkeypatch):
+        monkeypatch.setattr(solvers_base, "_csr_matvec_kernel", None)
+        A = sp.csr_matrix(small_spd)
+        self._assert_same_as_matmul(A, rng.standard_normal(A.shape[1]), rng)
 
 
 class TestPrebuiltBlocked:

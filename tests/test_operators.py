@@ -153,6 +153,34 @@ class TestNoisy:
         x = rng.standard_normal(A.shape[0])
         assert np.array_equal(op.matvec(x), op.matvec(x))
 
+    @pytest.mark.parametrize("fresh", [True, False], ids=["fresh", "frozen"])
+    def test_noise_stream_pinned(self, rng, fresh):
+        # Five applies against the noisy matrix built the long way: one
+        # ``1 + sigma * N(0, 1)`` draw per apply (or one at construction
+        # when frozen) from an identically seeded generator.
+        A = wathen(5, 5, seed=8)
+        spec, sigma, seed = ReFloatSpec(b=5), 0.25, 31
+        op = NoisyReFloatOperator(A, spec, sigma=sigma, seed=seed,
+                                  fresh_per_apply=fresh)
+        clean = ReFloatOperator(A, spec)
+        ref_rng = np.random.default_rng(seed)
+        nnz = clean.A.nnz
+
+        def draw():
+            return 1.0 + sigma * ref_rng.standard_normal(nnz)
+
+        frozen = None if fresh else draw()
+        for _ in range(5):
+            x = rng.standard_normal(A.shape[0])
+            factor = draw() if fresh else frozen
+            noisy = sp.csr_matrix(
+                (clean.A.data * factor, clean.A.indices, clean.A.indptr),
+                shape=clean.A.shape)
+            ref = noisy @ clean.quantize_input(x)
+            np.testing.assert_array_equal(op.matvec(x).view(np.uint64),
+                                          ref.view(np.uint64))
+        assert op.rng.standard_normal() == ref_rng.standard_normal()
+
     def test_noise_magnitude_scales_with_sigma(self, rng):
         A = wathen(5, 5, seed=7)
         x = rng.standard_normal(A.shape[0])

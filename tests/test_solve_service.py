@@ -248,11 +248,15 @@ class TestDaemonEndToEnd:
             t.join(timeout=120)
         assert isinstance(outcomes["bad"], ServiceError)
         assert error in str(outcomes["bad"])
+        # A rejected RHS is a client error, like an unknown solver: a 400
+        # whose latency is not counted with the served solves.
+        assert outcomes["bad"].status == 400
         crit = active_config().effective_criterion
         ref = cg(op, good_rhs, criterion=crit)
         for name in ("good", "good2"):
             assert not isinstance(outcomes[name], ServiceError)
             assert np.array_equal(np.asarray(outcomes[name]["x"]), ref.x)
+        assert client.stats()["service"]["latency"]["count"] == 2
 
     def test_unsupported_solver_rejected_up_front(self, service):
         svc, client = service

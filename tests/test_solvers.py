@@ -1,9 +1,27 @@
-"""Tests for the Krylov and stationary solvers (exact operator)."""
+"""Tests for the Krylov and stationary solvers (exact operator).
+
+``TestSolverLoop`` also runs ``cg`` and ``bicgstab`` on every platform
+operator against a plain ``A @ q(x)`` oracle.
+"""
+
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.formats import ReFloatSpec
+from repro.formats.feinberg import quantize_vector_feinberg_reference
+from repro.formats.ieee import quantize_ieee
+from repro.operators import (
+    ExactOperator,
+    FeinbergOperator,
+    NoisyReFloatOperator,
+    ReFloatOperator,
+    TruncatedOperator,
+)
 from repro.solvers import (
     ConvergenceCriterion,
     bicgstab,
@@ -16,7 +34,7 @@ from repro.solvers import (
     richardson,
     ssor_preconditioner,
 )
-from repro.sparse.gallery import laplacian_2d, wathen
+from repro.sparse.gallery import hex_mass_matrix, laplacian_2d, wathen
 
 
 def system(n=10):
@@ -121,6 +139,97 @@ class TestBiCGSTAB:
         A, _, _ = system()
         res = bicgstab(A, np.zeros(A.shape[0]))
         assert res.converged and res.iterations == 0
+
+
+#: Signed zeros, subnormals, values whose squares overflow, infinities, NaN.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-310, 1e-200, 1e200, -1e200, 1.0,
+                -3.5, np.inf, -np.inf, np.nan]
+
+
+class _MatmulOracle:
+    """A platform's SpMV as the plain ``A @ q(x)`` expression.
+
+    With ``noise=(sigma, seed)`` every apply multiplies the values by its
+    own ``1 + sigma * N(0, 1)`` draw and builds that apply's noisy CSR.
+    """
+
+    def __init__(self, A, quantize, noise=None):
+        self.A, self.shape, self.quantize = A, A.shape, quantize
+        self.noise = None
+        if noise is not None:
+            self.noise = (noise[0], np.random.default_rng(noise[1]))
+
+    def matvec(self, x):
+        xq = self.quantize(np.asarray(x, dtype=np.float64))
+        if self.noise is None:
+            return self.A @ xq
+        sigma, rng = self.noise
+        factor = 1.0 + sigma * rng.standard_normal(self.A.nnz)
+        noisy = sp.csr_matrix((self.A.data * factor, self.A.indices,
+                               self.A.indptr), shape=self.shape)
+        return noisy @ xq
+
+
+def _platform_pair(platform, A):
+    """A platform operator and its ``A @ q(x)`` oracle."""
+    spec = ReFloatSpec(b=5)
+    if platform == "exact":
+        return ExactOperator(A), _MatmulOracle(sp.csr_matrix(A), lambda x: x)
+    if platform == "refloat":
+        op = ReFloatOperator(A, spec)
+        return op, _MatmulOracle(op.A, op.quantize_input)
+    if platform == "feinberg":
+        op = FeinbergOperator(A)
+        return op, _MatmulOracle(op.A, lambda x: quantize_vector_feinberg_reference(
+            x, op.anchor, op.spec))
+    if platform == "truncated":
+        op = TruncatedOperator(A, exp_bits=6)
+        return op, _MatmulOracle(op.A, lambda x: quantize_ieee(x, 6, 52))
+    op = NoisyReFloatOperator(A, spec, sigma=0.25, seed=5)
+    clean = ReFloatOperator(A, spec)
+    return op, _MatmulOracle(clean.A, clean.quantize_input, noise=(0.25, 5))
+
+
+class TestSolverLoop:
+    """The cg/bicgstab loops keep every bit of the numpy-wrapper versions."""
+
+    @given(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
+                    max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_primitives_match_numpy(self, values):
+        v = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours, ref = math.sqrt(v.dot(v)), float(np.linalg.norm(v))
+        if math.isnan(ref):
+            assert math.isnan(ours)
+        else:
+            assert (np.float64(ours).view(np.uint64)
+                    == np.float64(ref).view(np.uint64))
+        assert np.isfinite(v).all() == np.all(np.isfinite(v))
+        # The loops test their scalars (norms, inner products) this way.
+        for scalar in values:
+            assert math.isfinite(scalar) == np.isfinite(scalar)
+
+    @pytest.mark.parametrize("matrix", ["wathen", "hex-mass"])
+    @pytest.mark.parametrize("platform", ["exact", "refloat", "feinberg",
+                                          "truncated", "noisy"])
+    @pytest.mark.parametrize("solver", [cg, bicgstab], ids=["cg", "bicgstab"])
+    def test_platform_solve_matches_matmul_oracle(self, solver, platform,
+                                                  matrix):
+        A = (wathen(4, 4, seed=3) if matrix == "wathen"
+             else hex_mass_matrix(3, seed=4))
+        b = np.random.default_rng(2).standard_normal(A.shape[0])
+        op, oracle = _platform_pair(platform, A)
+        crit = ConvergenceCriterion(tol=1e-12, max_iterations=500)
+        ours = solver(op, b, criterion=crit)
+        ref = solver(oracle, b, criterion=crit)
+        np.testing.assert_array_equal(ours.x.view(np.uint64),
+                                      ref.x.view(np.uint64))
+        assert ours.iterations == ref.iterations
+        assert ours.breakdown == ref.breakdown
+        np.testing.assert_array_equal(
+            np.array(ours.residual_history).view(np.uint64),
+            np.array(ref.residual_history).view(np.uint64))
 
 
 class TestGMRES:
