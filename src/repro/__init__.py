@@ -6,9 +6,9 @@ format, the accelerator and its baselines as functional + timing models, the
 solvers, and the full evaluation harness.  Top-level re-exports cover the
 primary public API; see the subpackages for everything else:
 
-* :mod:`repro.formats`     — IEEE bit tools, ReFloat / Feinberg / BFP codecs
-* :mod:`repro.sparse`      — blocking, layouts, Matrix Market, matrix gallery
-* :mod:`repro.solvers`     — CG, BiCGSTAB, GMRES, stationary, refinement
+* :mod:`repro.formats`     — IEEE bit tools, ReFloat / Feinberg codecs, format zoo
+* :mod:`repro.sparse`      — blocking, the BSR layout, statistics, matrix gallery
+* :mod:`repro.solvers`     — CG, BiCGSTAB, iterative refinement
 * :mod:`repro.operators`   — SpMV platforms (exact / ReFloat / Feinberg / noisy)
 * :mod:`repro.hardware`    — crossbar sim, processing engine, timing models
 * :mod:`repro.analysis`    — locality, memory accounting, trace utilities
@@ -38,7 +38,7 @@ from repro.operators import (
     NoisyReFloatOperator,
     ReFloatOperator,
 )
-from repro.solvers import ConvergenceCriterion, SolverResult, bicgstab, cg, gmres
+from repro.solvers import ConvergenceCriterion, SolverResult, bicgstab, cg
 from repro.sparse import BlockedMatrix
 from repro.sparse.gallery import build_matrix, suite_ids
 
@@ -56,7 +56,6 @@ __all__ = [
     "SolverResult",
     "bicgstab",
     "cg",
-    "gmres",
     "BlockedMatrix",
     "build_matrix",
     "suite_ids",

@@ -129,23 +129,20 @@ def exponent_of(x) -> np.ndarray:
     return e
 
 
-def exponent_field(x, validate: bool = True) -> np.ndarray:
+def exponent_field(x) -> np.ndarray:
     """The raw *biased* 11-bit exponent field of each float64, as uint64.
 
-    The cheap sibling of :func:`decompose` for exponent-only consumers (the
-    vector-converter hot path): no sign/fraction extraction and no separate
-    float finiteness pass.  Zeros *and subnormals* report field 0 (matching
-    :func:`decompose`'s flush-to-zero convention: ``field == 0`` iff
-    ``decompose`` reports :data:`EXP_ZERO`); normal values report
-    ``unbiased + EXP_BIAS``.  With ``validate`` (the default) inf/NaN
-    (field 2047) raise ``ValueError`` like :func:`decompose`; hot-path
-    callers that already reduce the fields may pass ``validate=False`` and
-    test their reduction against 2047 instead, saving the extra pass.
+    The cheap sibling of :func:`decompose` for exponent-only consumers:
+    no sign/fraction extraction and no separate float finiteness pass.
+    Zeros *and subnormals* report field 0 (matching :func:`decompose`'s
+    flush-to-zero convention: ``field == 0`` iff ``decompose`` reports
+    :data:`EXP_ZERO`); normal values report ``unbiased + EXP_BIAS``.
+    inf/NaN (field 2047) raise ``ValueError`` like :func:`decompose`.
     """
     arr = np.asarray(x, dtype=np.float64)
     bits = arr.view(np.uint64) if arr.flags.c_contiguous else np.ascontiguousarray(arr).view(np.uint64)
     field = (bits >> np.uint64(FRAC_BITS)) & _EXP_MASK
-    if validate and np.any(field == 0x7FF):
+    if np.any(field == 0x7FF):
         raise ValueError(NONFINITE_MSG)
     return field
 

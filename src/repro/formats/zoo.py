@@ -18,6 +18,8 @@ BFP64                 ReFloat(6, 0, 52)
 
 The named specs here set ``ev/fv`` equal to ``e/f`` (vector treated the same
 as the matrix) — these are format descriptions, not accelerator configs.
+No paper experiment runs them; ``examples/format_explorer.py`` prints the
+table through :func:`quantize_to_named_format`.
 """
 
 from __future__ import annotations

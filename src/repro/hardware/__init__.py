@@ -5,7 +5,6 @@ from repro.hardware.accelerator import (
     MappingPlan,
     SolverTimingModel,
 )
-from repro.hardware.adc import ADCConfig, SARADC
 from repro.hardware.cost import (
     FEINBERG_CROSSBARS_PER_ENGINE,
     FEINBERG_CYCLES,
@@ -16,17 +15,13 @@ from repro.hardware.cost import (
     fixed_point_mvm_cycles,
 )
 from repro.hardware.crossbar import CrossbarMVM, bit_slice, integer_mvm
-from repro.hardware.energy import EnergyModel
 from repro.hardware.engine import BlockedEngine, ProcessingEngine, block_mvm_reference
 from repro.hardware.gpu import GPUConfig, GPUSolverModel
-from repro.hardware.noise import RTNModel
 
 __all__ = [
     "AcceleratorConfig",
     "MappingPlan",
     "SolverTimingModel",
-    "ADCConfig",
-    "SARADC",
     "FEINBERG_CROSSBARS_PER_ENGINE",
     "FEINBERG_CYCLES",
     "crossbars_for_spec",
@@ -37,11 +32,9 @@ __all__ = [
     "CrossbarMVM",
     "bit_slice",
     "integer_mvm",
-    "EnergyModel",
     "BlockedEngine",
     "ProcessingEngine",
     "block_mvm_reference",
     "GPUConfig",
     "GPUSolverModel",
-    "RTNModel",
 ]

@@ -11,13 +11,17 @@ accumulating down matrix columns) on unsigned integers by
 This module reproduces that datapath exactly at the level of integer
 arithmetic, including the per-step partial-sum sequence of the worked example
 in Fig. 2, and reports the cycle count ``C_int = N_v + N_M - 1``.  It is the
-ground-truth reference the ReFloat processing engine is verified against.
+ground-truth reference the ReFloat processing engine is verified against;
+no CLI command or daemon path runs it.
 
 Two execution modes produce identical integers: ``record_trace=True`` runs
 the cycle-by-cycle shift-and-add schedule (the Fig. 2 reference); the
 default fast path collapses both pipeline phases into one batched
 contraction over all bit-planes — through BLAS in float64 whenever the
 operand widths make that exact (<= 53 bits), in int64 otherwise.
+``tests/test_fast_paths.py::TestCrossbarBatched`` diffs the two modes, and
+``tests/test_hardware.py::TestCrossbar`` checks the fast path against an
+integer matmul and the Fig. 2 worked example.
 """
 
 from __future__ import annotations

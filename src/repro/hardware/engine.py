@@ -14,13 +14,18 @@ segment.  This module reproduces the integer-domain datapath:
 
 Because every step is exact integer arithmetic within 2^53, the engine output
 equals the FP64 shortcut ``~A_c @ ~x_c`` *bit for bit*; that equivalence is
-what licenses :class:`repro.operators.ReFloatOperator`'s fast path, and is
-asserted in the test suite.  The one conversion the integer datapath cannot
-express is an *exact-grid* segment (near-lossless vector configs or very
-tiny values, where the segment's ulp exponent falls below the binary64
-normal range and the converter passes values through unquantised) — the
-engines reject it with ``ValueError`` rather than round it silently; the
-FP64 shortcut handles it exactly.
+what licenses :class:`repro.operators.ReFloatOperator`'s fast path.  The one
+conversion the integer datapath cannot express is an *exact-grid* segment
+(near-lossless vector configs or very tiny values, where the segment's ulp
+exponent falls below the binary64 normal range and the converter passes
+values through unquantised) — the engines reject it with ``ValueError``
+rather than round it silently; the FP64 shortcut handles it exactly.
+
+No CLI command or daemon path runs an engine: both are differential
+oracles.  ``tests/test_hardware.py::TestEngine`` diffs
+:class:`ProcessingEngine` against :func:`block_mvm_reference` (the FP64
+shortcut for one block), and ``tests/test_fast_paths.py::TestBlockedEngine``
+diffs :class:`BlockedEngine` against one :class:`ProcessingEngine` per block.
 
 Hot-path architecture
 ---------------------

@@ -1,6 +1,5 @@
 """SpMV platform operators: exact, ReFloat, Feinberg, truncated, noisy."""
 
-from repro.operators.counting import CountingOperator, TracingOperator
 from repro.operators.feinberg_op import FeinbergFcOperator, FeinbergOperator
 from repro.operators.noisy import NoisyReFloatOperator
 from repro.operators.refloat_op import ReFloatOperator
@@ -8,8 +7,6 @@ from repro.operators.truncated_op import TruncatedOperator
 from repro.solvers.base import MatrixOperator as ExactOperator
 
 __all__ = [
-    "CountingOperator",
-    "TracingOperator",
     "FeinbergFcOperator",
     "FeinbergOperator",
     "NoisyReFloatOperator",

@@ -8,7 +8,7 @@ the evaluation uses it on the same SPD suite as CG, as the paper does.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,8 +30,6 @@ def bicgstab(
     b,
     x0: Optional[np.ndarray] = None,
     criterion: Optional[ConvergenceCriterion] = None,
-    preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
 ) -> SolverResult:
     """Solve ``A x = b`` by BiCGSTAB.  See :func:`repro.solvers.cg.cg` for the
     parameter/return conventions (identical)."""
@@ -71,18 +69,15 @@ def bicgstab(
                             residual_norm=r_norm, residual_history=history,
                             breakdown=why, matvecs=matvecs)
 
-    prec = preconditioner or (lambda u: u)
-
     for k in range(1, crit.max_iterations + 1):
         rho = float(r_hat @ r)
         if not math.isfinite(rho) or rho == 0.0:
             return _fail(k - 1, "rho breakdown")
         beta = (rho / rho_prev) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        phat = prec(p)
-        if not np.isfinite(phat).all():
+        if not np.isfinite(p).all():
             return _fail(k - 1, "non-finite direction")
-        v = op.matvec(phat)
+        v = op.matvec(p)
         matvecs += 1
         denom = float(r_hat @ v)
         if not math.isfinite(denom) or denom == 0.0:
@@ -92,18 +87,15 @@ def bicgstab(
         s_norm = math.sqrt(s.dot(s))  # np.linalg.norm's own 1-D formula
         if s_norm < threshold:
             # Early half-step convergence.
-            x += alpha * phat
+            x += alpha * p
             r_norm = s_norm
             history.append(r_norm)
-            if callback:
-                callback(k, x, r_norm)
             return SolverResult(x=x, converged=True, iterations=k,
                                 residual_norm=r_norm, residual_history=history,
                                 matvecs=matvecs)
-        shat = prec(s)
-        if not np.isfinite(shat).all():
+        if not np.isfinite(s).all():
             return _fail(k - 1, "non-finite half-step")
-        t = op.matvec(shat)
+        t = op.matvec(s)
         matvecs += 1
         tt = float(t @ t)
         if not math.isfinite(tt) or tt == 0.0:
@@ -111,13 +103,11 @@ def bicgstab(
         omega = float(t @ s) / tt
         if not math.isfinite(omega) or omega == 0.0:
             return _fail(k - 1, "omega breakdown")
-        x += alpha * phat + omega * shat
+        x += alpha * p + omega * s
         r = s - omega * t
         rho_prev = rho
         r_norm = math.sqrt(r.dot(r))
         history.append(r_norm)
-        if callback:
-            callback(k, x, r_norm)
         if r_norm < threshold:
             return SolverResult(x=x, converged=True, iterations=k,
                                 residual_norm=r_norm, residual_history=history,

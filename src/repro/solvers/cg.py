@@ -1,14 +1,14 @@
 """Conjugate Gradient (Hestenes & Stiefel), operator-parameterised.
 
 Implemented exactly as the paper's Code 1 specialises for CG: one SpMV per
-iteration (on the direction vector ``p``), recursive residual update, optional
-preconditioner.  All vector arithmetic is FP64; the operator may quantise.
+iteration (on the direction vector ``p``) and a recursive residual update.
+All vector arithmetic is FP64; the operator may quantise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,10 +30,8 @@ def cg(
     b,
     x0: Optional[np.ndarray] = None,
     criterion: Optional[ConvergenceCriterion] = None,
-    preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
 ) -> SolverResult:
-    """Solve SPD ``A x = b`` by (preconditioned) conjugate gradients.
+    """Solve SPD ``A x = b`` by conjugate gradients.
 
     Parameters
     ----------
@@ -46,10 +44,6 @@ def cg(
     criterion : ConvergenceCriterion
         Stopping rule; defaults to the paper's ``||r|| < 1e-8 ||b||`` with a
         20000-iteration budget.
-    preconditioner : callable, optional
-        ``z = M^{-1} r`` application.
-    callback : callable, optional
-        Called as ``callback(iteration, x, residual_norm)`` once per iteration.
 
     Returns
     -------
@@ -81,9 +75,8 @@ def cg(
                             residual_norm=r_norm, residual_history=history,
                             matvecs=matvecs)
 
-    z = preconditioner(r) if preconditioner else r
-    p = z.copy()
-    rho = float(r @ z)
+    p = r.copy()
+    rho = float(r @ r)
 
     for k in range(1, crit.max_iterations + 1):
         if not np.isfinite(p).all():
@@ -102,8 +95,6 @@ def cg(
         r -= alpha * q
         r_norm = math.sqrt(r.dot(r))  # np.linalg.norm's own 1-D formula
         history.append(r_norm)
-        if callback:
-            callback(k, x, r_norm)
         if r_norm < threshold:
             return SolverResult(x=x, converged=True, iterations=k,
                                 residual_norm=r_norm, residual_history=history,
@@ -112,15 +103,14 @@ def cg(
             return SolverResult(x=x, converged=False, iterations=k,
                                 residual_norm=r_norm, residual_history=history,
                                 breakdown="divergence", matvecs=matvecs)
-        z = preconditioner(r) if preconditioner else r
-        rho_new = float(r @ z)
+        rho_new = float(r @ r)
         if rho == 0.0:
             return SolverResult(x=x, converged=False, iterations=k,
                                 residual_norm=r_norm, residual_history=history,
                                 breakdown="rho breakdown", matvecs=matvecs)
         beta = rho_new / rho
         rho = rho_new
-        p = z + beta * p
+        p = r + beta * p
 
     return SolverResult(x=x, converged=False, iterations=crit.max_iterations,
                         residual_norm=r_norm, residual_history=history,

@@ -7,6 +7,10 @@ natural systems answer to "what if the quantised solve stalls above the
 target residual?" — it restores full-precision attainable accuracy while
 keeping most work on the accelerator, and is the paper's implicit fallback
 story for extreme bit budgets.
+
+No paper experiment runs it: ``examples/bit_budget_ablation.py`` uses it to
+refine an f=3 ReFloat solve, and ``TestIterativeRefinement`` in
+``tests/test_solvers.py`` pins that use.
 """
 
 from __future__ import annotations

@@ -1,14 +1,7 @@
-"""Sparse-matrix substrate: blocking, layouts, Matrix Market I/O, gallery."""
+"""Sparse-matrix substrate: blocking, the BSR layout, statistics, gallery."""
 
 from repro.sparse.blocked import BlockedMatrix, block_coordinates
 from repro.sparse.bsr import BSRBlocks
-from repro.sparse.layout import (
-    block_major_order,
-    layout_report,
-    row_major_order,
-    streaming_run_lengths,
-)
-from repro.sparse.mmio import read_matrix_market, write_matrix_market
 from repro.sparse.stats import (
     condition_number,
     extreme_eigenvalues,
@@ -21,12 +14,6 @@ __all__ = [
     "BSRBlocks",
     "BlockedMatrix",
     "block_coordinates",
-    "block_major_order",
-    "layout_report",
-    "row_major_order",
-    "streaming_run_lengths",
-    "read_matrix_market",
-    "write_matrix_market",
     "condition_number",
     "extreme_eigenvalues",
     "is_symmetric",

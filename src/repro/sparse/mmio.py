@@ -1,100 +1,24 @@
-"""Matrix Market file I/O (the paper's input format, Section V-C).
+"""Raw-array interchange for CSR matrices.
 
-Supports the coordinate format with ``real``/``integer``/``pattern`` fields
-and ``general``/``symmetric`` symmetry — the subset covering the SuiteSparse
-collection the paper evaluates.  Implemented from scratch (no scipy.io) so the
-package is self-contained and the symmetric-expansion semantics are explicit.
-
-Alongside the text format, :func:`csr_to_arrays`/:func:`csr_from_arrays`
-round-trip a CSR matrix through its three raw arrays without copying or
-re-canonicalising — the binary interchange the on-disk asset store
-(:mod:`repro.experiments.store`) builds on, where the arrays come back as
-read-only ``np.load(..., mmap_mode="r")`` views.
+:func:`csr_to_arrays` and :func:`csr_from_arrays` round-trip a CSR matrix
+through its three raw arrays without copying or re-canonicalising.  The
+on-disk asset store (:mod:`repro.experiments.store`) builds on them, and
+its arrays come back as read-only ``np.load(..., mmap_mode="r")`` views;
+:class:`repro.operators.ReFloatOperator` uses :func:`csr_from_arrays` to
+put quantised values on the exact matrix's index arrays.
 """
 
 from __future__ import annotations
 
-import io
-from pathlib import Path
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "read_matrix_market",
-    "write_matrix_market",
     "csr_to_arrays",
     "csr_from_arrays",
 ]
-
-_HEADER_PREFIX = "%%MatrixMarket"
-
-
-def read_matrix_market(source: Union[str, Path, io.TextIOBase]) -> sp.csr_matrix:
-    """Read a Matrix Market coordinate file into CSR.
-
-    Symmetric matrices are expanded to full storage (both triangles), matching
-    how a solver consumes them.  Pattern matrices get value 1.0.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r") as fh:
-            return read_matrix_market(fh)
-
-    header = source.readline()
-    if not header.startswith(_HEADER_PREFIX):
-        raise ValueError(f"not a MatrixMarket file (header {header[:40]!r})")
-    parts = header.strip().split()
-    if len(parts) != 5:
-        raise ValueError(f"malformed MatrixMarket header: {header.strip()!r}")
-    _, obj, fmt, field, symmetry = (p.lower() for p in parts)
-    if obj != "matrix" or fmt != "coordinate":
-        raise ValueError(f"only 'matrix coordinate' supported, got {obj} {fmt}")
-    if field not in ("real", "integer", "pattern"):
-        raise ValueError(f"unsupported field type {field!r}")
-    if symmetry not in ("general", "symmetric"):
-        raise ValueError(f"unsupported symmetry {symmetry!r}")
-
-    # Skip comments, read size line.
-    line = source.readline()
-    while line.startswith("%"):
-        line = source.readline()
-    try:
-        n_rows, n_cols, nnz = (int(tok) for tok in line.split())
-    except ValueError:
-        raise ValueError(f"malformed size line: {line.strip()!r}") from None
-
-    body = np.loadtxt(source, ndmin=2, dtype=np.float64, max_rows=nnz) if nnz else np.zeros((0, 3))
-    if body.shape[0] != nnz:
-        raise ValueError(f"expected {nnz} entries, found {body.shape[0]}")
-    if field == "pattern":
-        if body.size and body.shape[1] != 2:
-            raise ValueError("pattern entries must have 2 columns")
-        rows = body[:, 0].astype(np.int64) - 1
-        cols = body[:, 1].astype(np.int64) - 1
-        vals = np.ones(nnz, dtype=np.float64)
-    else:
-        if body.size and body.shape[1] != 3:
-            raise ValueError(f"{field} entries must have 3 columns")
-        rows = body[:, 0].astype(np.int64) - 1
-        cols = body[:, 1].astype(np.int64) - 1
-        vals = body[:, 2].astype(np.float64)
-
-    if nnz and (rows.min() < 0 or cols.min() < 0 or rows.max() >= n_rows or cols.max() >= n_cols):
-        raise ValueError("index out of declared bounds")
-
-    if symmetry == "symmetric":
-        off = rows != cols
-        mirror_rows, mirror_cols = cols[off], rows[off]
-        rows = np.concatenate((rows, mirror_rows))
-        cols = np.concatenate((cols, mirror_cols))
-        vals = np.concatenate((vals, vals[off]))
-
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols))
-    out = A.tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
 
 
 def csr_to_arrays(A) -> Tuple[Dict[str, np.ndarray], Tuple[int, int]]:
@@ -162,42 +86,3 @@ def csr_from_arrays(
         A.has_canonical_format = True
     return A
 
-
-def write_matrix_market(
-    target: Union[str, Path, io.TextIOBase],
-    A,
-    symmetric: bool = False,
-    comment: str = "",
-) -> None:
-    """Write a sparse matrix in coordinate/real format.
-
-    With ``symmetric=True`` only the lower triangle is written (the matrix
-    must actually be symmetric; this is validated).
-    """
-    if isinstance(target, (str, Path)):
-        with open(target, "w") as fh:
-            write_matrix_market(fh, A, symmetric=symmetric, comment=comment)
-            return
-
-    A = sp.coo_matrix(A)
-    if symmetric:
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("symmetric output requires a square matrix")
-        diff = (sp.csr_matrix(A) - sp.csr_matrix(A).T)
-        if diff.nnz and np.max(np.abs(diff.data)) > 0:
-            raise ValueError("matrix is not symmetric")
-        keep = A.row >= A.col
-        rows, cols, vals = A.row[keep], A.col[keep], A.data[keep]
-        sym = "symmetric"
-    else:
-        rows, cols, vals = A.row, A.col, A.data
-        sym = "general"
-
-    target.write(f"%%MatrixMarket matrix coordinate real {sym}\n")
-    for line in comment.splitlines():
-        target.write(f"% {line}\n")
-    target.write(f"{A.shape[0]} {A.shape[1]} {rows.size}\n")
-    order = np.lexsort((rows, cols))  # column-major, the conventional order
-    for r, c, v in zip(rows[order], cols[order], vals[order]):
-        # repr of a Python float is shortest-exact: round-trips bit-for-bit.
-        target.write(f"{r + 1} {c + 1} {float(v)!r}\n")

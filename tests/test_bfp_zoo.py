@@ -1,46 +1,9 @@
-"""Tests for block floating point and the Table III format zoo."""
+"""Tests for the Table III format zoo (BFP64 among them, as a ReFloat spec)."""
 
 import numpy as np
 import pytest
 
-from repro.formats.bfp import BFPSpec, quantize_block_bfp, quantize_vector_bfp
 from repro.formats.zoo import FORMAT_ZOO, named_spec, quantize_to_named_format
-
-
-class TestBFP:
-    def test_shared_exponent_is_block_max(self):
-        q, emax = quantize_block_bfp(np.array([1.0, 4.0, 0.25]), BFPSpec(b=2))
-        assert emax == 2
-
-    def test_large_values_exact_small_lose_bits(self):
-        spec = BFPSpec(b=3, mantissa_bits=8)
-        x = np.array([128.0, 1.0, 2.0 ** -3])
-        q, emax = quantize_block_bfp(x, spec)
-        assert q[0] == 128.0
-        assert q[1] == 1.0   # exactly on the grid (ulp = 2^0)
-        assert q[2] == 0.0   # below the fixed-point ulp -> flushed
-
-    def test_paper_example_dynamic_range_failure(self):
-        # Section II-C: 1e-40 and 1e-30 cannot coexist in one BFP block.
-        q, _ = quantize_block_bfp(np.array([1e-30, 1e-40]), BFPSpec(mantissa_bits=30))
-        assert q[0] != 0.0 and q[1] == 0.0
-
-    def test_all_zero_block(self):
-        q, emax = quantize_block_bfp(np.zeros(4), BFPSpec())
-        assert np.all(q == 0) and emax == 0
-
-    def test_vector_blockwise(self):
-        spec = BFPSpec(b=1, mantissa_bits=10)
-        x = np.array([4.0, 2.0 ** -12, 1.0, 0.5])
-        q = quantize_vector_bfp(x, spec)
-        assert q[1] == 0.0        # same block as 4.0, below its grid
-        assert q[2] == 1.0 and q[3] == 0.5  # separate block, fits
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BFPSpec(b=-1)
-        with pytest.raises(ValueError):
-            BFPSpec(mantissa_bits=0)
 
 
 class TestZoo:

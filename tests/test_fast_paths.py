@@ -199,7 +199,6 @@ class TestConverterPlan:
             field[~zero].astype(np.int64) - ieee.EXP_BIAS, exp[~zero])
         with pytest.raises(ValueError):
             ieee.exponent_field([1.0, np.inf])
-        assert ieee.exponent_field([1.0, np.inf], validate=False)[1] == 0x7FF
 
 
 POLICIES = ("wrap", "clamp", "flush")
@@ -609,31 +608,6 @@ class TestOperatorMatmat:
         X = np.column_stack([random_float_array(rng, small_spd.shape[0])
                              for _ in range(5)])
         self._assert_columns_match(op, X)
-
-    def test_counting_operator_matmat(self, rng, small_spd):
-        from repro.operators import CountingOperator
-        from repro.solvers.base import operator_matmat
-
-        op = CountingOperator(small_spd)
-        X = np.column_stack([random_float_array(rng, small_spd.shape[0])
-                             for _ in range(4)])
-        Y = op.matmat(X)
-        assert op.count == 1 and op.columns == 4
-        op.matvec(X[:, 0])
-        assert op.count == 2 and op.columns == 5
-        op.reset()
-        assert op.count == 0 and op.columns == 0
-        np.testing.assert_array_equal(Y, operator_matmat(op.inner, X))
-
-    def test_counting_operator_failed_apply_not_counted(self, rng, small_spd):
-        from repro.operators import CountingOperator
-
-        op = CountingOperator(small_spd)
-        with pytest.raises(ValueError):
-            op.matmat(np.ones(small_spd.shape[0]))      # 1-D: rejected
-        with pytest.raises(ValueError):
-            op.matmat(np.ones((3, 2)))                  # wrong length
-        assert op.count == 0 and op.columns == 0
 
     def test_operator_matmat_fallback_loop(self, rng, small_spd):
         from repro.solvers.base import operator_matmat

@@ -7,17 +7,13 @@ from hypothesis import strategies as st
 
 from repro.formats import DEFAULT_SPEC, ReFloatSpec
 from repro.hardware import (
-    ADCConfig,
     AcceleratorConfig,
     CrossbarMVM,
-    EnergyModel,
     FEINBERG_CROSSBARS_PER_ENGINE,
     FEINBERG_CYCLES,
     GPUSolverModel,
     MappingPlan,
     ProcessingEngine,
-    RTNModel,
-    SARADC,
     SolverTimingModel,
     bit_slice,
     block_mvm_reference,
@@ -203,57 +199,3 @@ class TestTimingModels:
         assert (GPUSolverModel.bicgstab().iteration_time_s(n, nnz)
                 > 1.5 * GPUSolverModel.cg().iteration_time_s(n, nnz))
 
-
-class TestADC:
-    def test_table4_config_lossless_for_128_rows(self):
-        adc = SARADC(ADCConfig(bits=10), full_scale=128)
-        assert adc.is_lossless_for_rows(128)
-        counts = np.arange(129)
-        assert np.array_equal(adc.convert(counts), counts)
-
-    def test_saturation(self):
-        adc = SARADC(ADCConfig(bits=4), full_scale=15)
-        assert adc.convert(np.array([100]))[0] == 15
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            SARADC().convert(np.array([-1]))
-
-
-class TestNoiseModel:
-    def test_zero_sigma_identity(self):
-        model = RTNModel(sigma=0.0)
-        assert np.all(model.factors(100) == 1.0)
-
-    def test_statistics(self):
-        model = RTNModel(sigma=0.1)
-        f = model.factors(200000, rng=3)
-        assert abs(f.mean() - 1.0) < 1e-3
-        assert abs(f.std() - 0.1) < 2e-3
-
-    def test_clipping_keeps_factors_physical(self):
-        model = RTNModel(sigma=0.2, clip=4.0)
-        f = model.factors(100000, rng=4)
-        assert f.min() > 0
-
-    def test_sigma_validated(self):
-        with pytest.raises(ValueError):
-            RTNModel(sigma=2.0)
-
-
-class TestEnergy:
-    def test_multiround_costs_more_than_resident(self):
-        model = EnergyModel()
-        resident = MappingPlan.for_refloat(20000, DEFAULT_SPEC)
-        multi = MappingPlan.for_refloat(45000, DEFAULT_SPEC)
-        # Normalise per block to compare mapping regimes.
-        e_res = model.spmv_energy_J(resident) / 20000
-        e_multi = model.spmv_energy_J(multi) / 45000
-        assert e_multi > e_res
-
-    def test_solve_energy_positive_and_monotone(self):
-        model = EnergyModel()
-        plan = MappingPlan.for_refloat(100, DEFAULT_SPEC)
-        e1 = model.solve_energy_J(plan, 10, 1, 1000)
-        e2 = model.solve_energy_J(plan, 20, 1, 1000)
-        assert 0 < e1 < e2

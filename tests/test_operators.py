@@ -7,13 +7,11 @@ import scipy.sparse as sp
 from repro.formats import ReFloatSpec
 from repro.formats.feinberg import quantize_vector_feinberg_reference
 from repro.operators import (
-    CountingOperator,
     ExactOperator,
     FeinbergFcOperator,
     FeinbergOperator,
     NoisyReFloatOperator,
     ReFloatOperator,
-    TracingOperator,
     TruncatedOperator,
 )
 from repro.sparse.blocked import BlockedMatrix
@@ -195,21 +193,3 @@ class TestNoisy:
         with pytest.raises(ValueError):
             NoisyReFloatOperator(laplacian_2d(4), ReFloatSpec(b=4), sigma=1.5)
 
-
-class TestWrappers:
-    def test_counting(self, rng):
-        A = laplacian_2d(4)
-        op = CountingOperator(A)
-        x = rng.standard_normal(A.shape[0])
-        op.matvec(x), op.matvec(x)
-        assert op.count == 2
-        op.reset()
-        assert op.count == 0
-
-    def test_tracing(self, rng):
-        A = laplacian_2d(4)
-        op = TracingOperator(A)
-        x = rng.standard_normal(A.shape[0])
-        y = op.matvec(x)
-        assert op.input_norms == [pytest.approx(np.linalg.norm(x))]
-        assert op.output_norms == [pytest.approx(np.linalg.norm(y))]

@@ -12,7 +12,7 @@ from repro.formats import (
     quantize_vector,
 )
 from repro.operators import ExactOperator, ReFloatOperator
-from repro.solvers import ConvergenceCriterion, bicgstab, cg, gmres
+from repro.solvers import ConvergenceCriterion, bicgstab, cg
 from repro.solvers.base import as_operator, check_system
 from repro.sparse.blocked import BlockedMatrix
 from repro.sparse.gallery import laplacian_2d
@@ -21,7 +21,7 @@ from repro.sparse.gallery import laplacian_2d
 class TestSolverEdgeCases:
     def test_one_by_one_system(self):
         A = sp.csr_matrix(np.array([[4.0]]))
-        for solver in (cg, bicgstab, gmres):
+        for solver in (cg, bicgstab):
             res = solver(A, np.array([8.0]))
             assert res.converged
             assert res.x[0] == pytest.approx(2.0)
@@ -43,27 +43,21 @@ class TestSolverEdgeCases:
         with pytest.raises(ValueError):
             check_system(as_operator(A), np.ones((3, 3)))
 
-    def test_divergence_detection(self):
-        # Richardson with omega > 2/lambda_max diverges geometrically; the
-        # guard must stop it long before the iteration cap.
-        from repro.solvers import richardson
-
-        A = laplacian_2d(6)
-        b = A @ np.ones(A.shape[0])
-        crit = ConvergenceCriterion(tol=1e-12, max_iterations=100000,
-                                    divergence_factor=1e9)
-        res = richardson(A, b, omega=1.0, criterion=crit)
+    @pytest.mark.parametrize("solver", [cg, bicgstab], ids=["cg", "bicgstab"])
+    def test_divergence_detection(self, solver):
+        # A strongly non-normal upper-bidiagonal matrix (1 on the diagonal,
+        # 10 above it): the residual of either solver grows past twice its
+        # initial norm within three iterations, and the guard must stop it
+        # there rather than run to the iteration cap.
+        A = sp.diags([np.ones(8), np.full(7, 10.0)], [0, 1], format="csr")
+        b = A @ np.ones(8)
+        crit = ConvergenceCriterion(tol=1e-12, max_iterations=1000,
+                                    divergence_factor=2)
+        res = solver(A, b, criterion=crit)
         assert not res.converged
         assert res.breakdown == "divergence"
-        assert res.iterations < 10000
-
-    def test_gmres_inner_iteration_counting(self):
-        A = laplacian_2d(12)
-        b = A @ np.ones(A.shape[0])
-        res = gmres(A, b, restart=7,
-                    criterion=ConvergenceCriterion(tol=1e-10))
-        assert res.converged
-        assert res.iterations >= 7  # needed more than one restart cycle
+        assert res.iterations == 3
+        assert res.residual_norm > 2 * res.residual_history[0]
 
     def test_criterion_threshold(self):
         crit = ConvergenceCriterion(tol=1e-6, relative=True)
