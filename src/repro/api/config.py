@@ -61,6 +61,8 @@ __all__ = [
     "SCALES",
     "RunConfig",
     "active",
+    "available_cpus",
+    "paper_config",
     "set_active",
     "use",
 ]
@@ -338,6 +340,28 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         return cls.from_dict(json.loads(text))
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (a container or ``taskset`` may allow fewer than the
+    machine has), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
+def paper_config() -> RunConfig:
+    """The config the paper commands (``all`` and each table or figure)
+    run under: the environment's, except that without
+    ``REPRO_SUITE_EXECUTOR`` they use the process pool, or run inline when
+    the worker count (``REPRO_SUITE_WORKERS``, else :func:`available_cpus`)
+    is 1 and a pool could not run two solves at once."""
+    config = RunConfig.from_env()
+    if os.environ.get("REPRO_SUITE_EXECUTOR"):
+        return config
+    workers = config.workers or available_cpus()
+    return config.replace(executor="process" if workers > 1 else "serial")
 
 
 #: Explicitly-installed config (``None`` = derive from the environment on

@@ -9,9 +9,10 @@ structure:
 * a :class:`TaskGraph` — nodes are units of work (typed below), edges are
   "the dependent needs the dependency's output";
 * a :class:`GraphScheduler` — hands out *ready* nodes (all dependencies
-  complete) in deterministic insertion order, unlocks dependents as nodes
-  complete, and transitively marks dependents of a failed node as
-  *skipped* so a dead baseline cannot wedge the batch.
+  complete) highest rank first, unlocks dependents as nodes complete, and
+  transitively marks dependents of a failed node as *skipped* so a dead
+  baseline cannot wedge the batch.  :func:`critical_path_ranks` turns
+  per-node costs into ranks, so the longest chain of work starts first.
 
 There are no phase barriers anywhere: a variant solve for sid A becomes
 ready the moment A's baseline completes, regardless of how many other
@@ -42,10 +43,10 @@ modules can all build on it without cycles.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.api.specs import RunRequest
 
@@ -58,6 +59,7 @@ __all__ = [
     "NodeTrace",
     "SolveNode",
     "TaskGraph",
+    "critical_path_ranks",
 ]
 
 #: Every state a scheduled node moves through.  ``pending`` nodes wait on
@@ -150,9 +152,9 @@ class TaskGraph:
 
     Nodes are added with an optional payload (the engine stores its typed
     node objects); edges say "``dependent`` needs ``dependency``".
-    Insertion order is preserved and defines the deterministic tie-break
-    everywhere — :meth:`topological_order` and the scheduler's ready queue
-    both dispatch equally-ready nodes in the order they were added.
+    Insertion order is preserved and defines the deterministic tie-break:
+    :meth:`topological_order` emits equally-ready nodes in the order they
+    were added, and so does the scheduler for the nodes ready at its start.
     """
 
     def __init__(self) -> None:
@@ -297,21 +299,39 @@ class GraphScheduler:
     validates the graph is acyclic (raising :class:`GraphCycleError`), and
     :meth:`fail` transitively skips every dependent of a failed node so
     nothing waits forever on work that can no longer happen.
+
+    Ready nodes wait in a heap keyed by (rank, descending; readiness
+    sequence).  ``ranks`` maps node keys to priorities (absent keys rank
+    0).  Equal ranks dispatch in the order the nodes became ready: the
+    nodes ready at construction in graph insertion order, each node
+    unlocked later behind every node already waiting, and a
+    :meth:`requeue` at the back, or with ``front=True`` ahead of every
+    waiting node of its rank.  An unranked graph therefore dispatches
+    first-ready, first-out.
     """
 
-    def __init__(self, graph: TaskGraph) -> None:
+    def __init__(self, graph: TaskGraph,
+                 ranks: Optional[Mapping[str, float]] = None) -> None:
         graph.topological_order()  # raises GraphCycleError on cycles
         self.graph = graph
+        self._ranks = dict(ranks or {})
         self._waiting = {key: len(graph.dependencies(key))
                          for key in graph.keys()}
-        self._ready: deque = deque(
-            key for key in graph.keys() if self._waiting[key] == 0)
+        self._ready: List[Tuple[float, int, str]] = []
+        self._back = itertools.count()
+        self._front = itertools.count(-1, -1)
         self._t0 = time.monotonic()
         self.trace: Dict[str, NodeTrace] = {
             key: NodeTrace(kind=getattr(graph.payload(key), "kind", "task"))
             for key in graph.keys()}
-        for key in self._ready:
-            self.trace[key].state = "ready"
+        for key in graph.keys():
+            if self._waiting[key] == 0:
+                self._push(key)
+
+    def _push(self, key: str, front: bool = False) -> None:
+        self.trace[key].state = "ready"
+        seq = next(self._front) if front else next(self._back)
+        heapq.heappush(self._ready, (-self._ranks.get(key, 0), seq, key))
 
     # -- dispatch -------------------------------------------------------
 
@@ -320,8 +340,8 @@ class GraphScheduler:
         return bool(self._ready)
 
     def pop_ready(self) -> str:
-        """The next dispatchable node key (deterministic order)."""
-        key = self._ready.popleft()
+        """The ready node of highest rank, earliest ready among equals."""
+        key = heapq.heappop(self._ready)[2]
         self.trace[key].state = "running"
         return key
 
@@ -339,11 +359,7 @@ class GraphScheduler:
         """Hand a popped/dispatched node back for a later dispatch."""
         if self.trace[key].state in _TERMINAL:
             raise ValueError(f"cannot requeue finished node {key!r}")
-        self.trace[key].state = "ready"
-        if front:
-            self._ready.appendleft(key)
-        else:
-            self._ready.append(key)
+        self._push(key, front)
 
     # -- outcomes -------------------------------------------------------
 
@@ -354,8 +370,7 @@ class GraphScheduler:
         for dep in self.graph.dependents(key):
             self._waiting[dep] -= 1
             if self._waiting[dep] == 0 and self.trace[dep].state == "pending":
-                self.trace[dep].state = "ready"
-                self._ready.append(dep)
+                self._push(dep)
                 unlocked.append(dep)
         return tuple(unlocked)
 
@@ -404,6 +419,22 @@ class GraphScheduler:
     def trace_dict(self) -> Dict[str, Dict[str, Any]]:
         """JSON-safe per-node trace, in graph insertion order."""
         return {key: t.to_dict() for key, t in self.trace.items()}
+
+
+def critical_path_ranks(graph: TaskGraph, costs: Mapping[str, float],
+                        ) -> Dict[str, float]:
+    """Each node's cost plus the largest rank among its dependents.
+
+    A node's rank is the cost of the longest chain of work it starts, so
+    dispatching highest rank first starts the critical path first: a
+    baseline ranks as its own cost plus its costliest dependent's rank,
+    and an asset node as its costliest solve.  Absent costs count 0.
+    """
+    ranks: Dict[str, float] = {}
+    for key in reversed(graph.topological_order()):
+        ranks[key] = costs.get(key, 0) + max(
+            (ranks[dep] for dep in graph.dependents(key)), default=0)
+    return ranks
 
 
 def compile_solve_graph(requests: Iterable[RunRequest],

@@ -5,6 +5,11 @@ Legacy experiment regeneration (one table/figure of the paper)::
     python -m repro.experiments fig8 [--scale SCALE]
     python -m repro.experiments all
 
+These run on the process pool unless ``REPRO_SUITE_EXECUTOR`` says
+otherwise, and inline when only one worker resolves
+(:func:`repro.api.config.paper_config`); ``all`` runs every solve of the
+paper as one task graph before it prints the first table.
+
 Declarative runs (no environment variables required — every knob is a
 flag mapping onto :class:`repro.api.RunConfig` / :class:`repro.api.SuiteSpec`)::
 
@@ -59,7 +64,8 @@ import math
 import sys
 from typing import List, Optional
 
-from repro.api import EXECUTORS, RunConfig, SuiteSpec
+from repro.api import EXECUTORS, RunConfig, SuiteSpec, use
+from repro.api.config import paper_config
 from repro.api.specs import RunRequest
 
 _API_COMMANDS = ("suite", "solve", "sweep", "store", "serve", "report")
@@ -693,7 +699,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="matrix scale (default: 'default', or 'paper' "
                              "when REPRO_FULL=1)")
     args = parser.parse_args(argv)
-    run_experiment(args.name, scale=args.scale)
+    try:
+        config = paper_config()
+    except ValueError as exc:  # e.g. REPRO_SUITE_WORKERS=0
+        parser.error(str(exc))
+    with use(config):
+        run_experiment(args.name, scale=args.scale)
     return 0
 
 

@@ -49,10 +49,16 @@ persistent on-disk store, then a full build — plus a configurable fan-out:
   dependencies complete — variant solves overlap still-running
   baselines, pre-warm overlaps independent solves — and a failed node
   skips its dependents with structured ``"dependency"`` failures;
-* :func:`run_suite` runs the 12 matrices through one scheduling loop.
-  ``REPRO_SUITE_EXECUTOR`` selects ``serial`` (default: each node runs
-  inline on the calling thread, one at a time) or ``process``;
-  ``REPRO_SUITE_WORKERS`` sets the process-pool width.  The process pool
+* :func:`run_suite` and :func:`run_sweep` each lower their spec to
+  requests, run them through one scheduling loop and lift the results;
+  :func:`run_specs` runs several specs' requests as one graph (the
+  ``all`` command runs the whole paper that way).
+  ``REPRO_SUITE_EXECUTOR`` selects ``serial`` (the default: each node
+  runs inline on the calling thread, one at a time) or ``process``;
+  ``REPRO_SUITE_WORKERS`` sets the process-pool width.  The pool keeps at
+  most one node per worker in flight and, of the ready nodes, starts the
+  one whose chain of recorded solves is costliest first (ranks from the
+  run ledger, :func:`_ledger_ranks`).  The process pool
   sidesteps the GIL entirely for ``paper``-scale sweeps: task payloads are
   picklable ``(sid, solver, scale)`` triples, each worker process resolves
   assets through its own hierarchy — with a store configured the parent
@@ -82,7 +88,17 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,6 +110,7 @@ from repro.api.graph import (
     GraphScheduler,
     TaskGraph,
     compile_solve_graph,
+    critical_path_ranks,
 )
 from repro.api.platforms import DEFAULT_PLATFORMS
 from repro.api.registry import (
@@ -131,6 +148,7 @@ __all__ = [
     "run_matrix",
     "run_request",
     "run_spec",
+    "run_specs",
     "run_suite",
     "run_sweep",
     "clear_run_caches",
@@ -612,7 +630,8 @@ class MatrixRun:
 
 @dataclass
 class ExecutionStats:
-    """Counters from one engine invocation (:func:`run_suite`/``run_sweep``).
+    """Counters from one engine invocation (:func:`run_suite`,
+    :func:`run_sweep` or :func:`run_specs`).
 
     ``requests`` is the batch size actually executed; ``nodes``/``edges``
     describe the compiled task graph (solve nodes plus any asset pre-warm
@@ -822,7 +841,8 @@ def platform_operator(sid: int, scale: Optional[str] = None,
 
 
 def _suite_workers(n_tasks: int) -> int:
-    """Worker count from the active config (>= 1) or the CPU count.
+    """Worker count from the active config (>= 1), else one per task up to
+    the CPUs this process may run on (:func:`repro.api.config.available_cpus`).
 
     ``REPRO_SUITE_WORKERS`` misconfigurations (zero, negatives,
     non-integers) raise the config module's named ``ValueError``.
@@ -830,7 +850,7 @@ def _suite_workers(n_tasks: int) -> int:
     workers = api_config.active().workers
     if workers is not None:
         return workers
-    return max(1, min(n_tasks, os.cpu_count() or 1))
+    return max(1, min(n_tasks, api_config.available_cpus()))
 
 
 def _suite_executor(executor: Optional[str] = None) -> str:
@@ -989,14 +1009,17 @@ class _InlineExecutor:
 def _execute(graph: TaskGraph, workers: int, executor: str, on_error: str,
              on_result: Optional[Callable[[RunRequest, MatrixRun], None]],
              stats: ExecutionStats,
+             ranks: Optional[Mapping[str, float]] = None,
              ) -> Tuple[Dict[str, MatrixRun], List[RunFailure]]:
     """The engine's one scheduler-driven submit/collect loop.
 
     The :class:`GraphScheduler` owns readiness — a node dispatches the
     moment its dependencies complete and a slot is free, with **no phase
     barriers**: variant solves overlap still-running baselines, asset
-    pre-warm overlaps independent solves.  ``executor`` picks what runs a
-    dispatched node: ``"serial"`` runs it inline on the calling thread
+    pre-warm overlaps independent solves.  Of the ready nodes, the highest
+    of ``ranks`` dispatches first (:class:`GraphScheduler`; without ranks,
+    the first ready).  ``executor`` picks what runs a dispatched node:
+    ``"serial"`` runs it inline on the calling thread
     (:class:`_InlineExecutor`) with a window of one, so nodes run one at a
     time in the scheduler's deterministic order; ``"process"`` submits it
     to the persistent process pool, ``workers`` wide.  State per node key:
@@ -1024,15 +1047,17 @@ def _execute(graph: TaskGraph, workers: int, executor: str, on_error: str,
       charge).  The serial executor cannot interrupt a solve on its own
       thread and ignores the timeout.
 
-    Submission caps in-flight work at the worker count when a timeout is
-    active (a queued-behind-a-hog node must not have its clock started);
-    without one, every ready node is submitted as it unlocks.
+    Submission caps in-flight nodes at ``workers`` (one inline), so the
+    scheduler, not the pool's first-in-first-out call queue, picks what
+    runs next: a high-rank node unlocked mid-run overtakes every
+    lower-ranked node still waiting, and a node queued behind a hog never
+    has its timeout clock started.
     """
     cfg = api_config.active()
     retries = cfg.request_retries
     inline = executor == "serial"
     timeout = None if inline else cfg.request_timeout
-    sched = GraphScheduler(graph)
+    sched = GraphScheduler(graph, ranks)
     results: Dict[str, MatrixRun] = {}
     failures: List[RunFailure] = []
     attempts: Dict[str, int] = dict.fromkeys(graph.keys(), 0)
@@ -1041,7 +1066,7 @@ def _execute(graph: TaskGraph, workers: int, executor: str, on_error: str,
     solo: Optional[str] = None  # the node currently running alone
     inflight: Dict[Future, str] = {}
     deadlines: Dict[Future, float] = {}
-    window = 1 if inline else workers if timeout is not None else len(graph)
+    window = 1 if inline else workers
     pool = _InlineExecutor() if inline else _process_pool(workers)
     # A task raising BrokenExecutor inline broke no pool: it is an
     # ordinary failure.
@@ -1209,6 +1234,42 @@ def _execute(graph: TaskGraph, workers: int, executor: str, on_error: str,
     return results, failures
 
 
+def _ledger_ranks(graph: TaskGraph) -> Dict[str, float]:
+    """Critical-path ranks from the solve costs the run ledger recorded.
+
+    A solve node costs the sum, over its platforms that solve (a
+    ``results_from`` platform reuses another's results), of the newest
+    recorded ``iterations × nnz``
+    (:func:`repro.experiments.ledger.solve_costs`); a platform without a
+    record, or a request the registries cannot resolve (it fails in its
+    own node), costs 0.  With no ledger the graph stays unranked.
+    """
+    recorded = run_ledger.solve_costs()
+    if not recorded:
+        return {}
+    solving: Dict[Optional[Tuple[str, ...]], Tuple[str, ...]] = {}
+    costs: Dict[str, float] = {}
+    for key in graph.keys():
+        node = graph.payload(key)
+        if node.kind == "asset":
+            continue
+        req = node.request
+        if req.platforms not in solving:
+            names = (DEFAULT_PLATFORMS if req.platforms is None
+                     else req.platforms)
+            try:
+                ensure_variant_platforms(names)
+                solving[req.platforms] = tuple(
+                    name for name in resolve_platforms(names)
+                    if PLATFORM_REGISTRY.get(name).results_from is None)
+            except (KeyError, ValueError):
+                solving[req.platforms] = ()
+        costs[key] = sum(
+            recorded.get((req.scale, req.sid, req.solver, name), 0)
+            for name in solving[req.platforms])
+    return critical_path_ranks(graph, costs)
+
+
 def _execute_requests(requests: List[RunRequest], workers: int,
                       executor: str, on_error: str = "raise",
                       on_result: Optional[Callable[[RunRequest, MatrixRun],
@@ -1218,18 +1279,21 @@ def _execute_requests(requests: List[RunRequest], workers: int,
                                  List[RunFailure], ExecutionStats]:
     """Compile a batch of :class:`RunRequest`\\ s into a task graph and run it.
 
-    The shared execution engine behind :func:`run_suite` and
-    :func:`run_sweep`.  The batch — plus ``edges``, "needs baseline"
-    ``(dependent_key, dependency_key)`` request-key pairs — compiles into
-    a :class:`~repro.api.graph.TaskGraph`; on the process executor with a
-    store configured, missing store entries join the graph as asset nodes
-    gating exactly the solves that need them.  :func:`_execute` then
-    dispatches ready nodes with no phase barriers: inline one at a time
-    for ``"serial"``, on the persistent process pool (``workers`` wide,
-    even for one request; workers mmap-attach pre-warmed entries instead
-    of rebuilding) for ``"process"``, so a crashing solve takes down a
-    pool worker, never the caller.  Fault-free results are identical on
-    both executors.
+    The shared execution engine behind :func:`run_suite`,
+    :func:`run_sweep` and :func:`run_specs`.  The batch — plus ``edges``,
+    "needs baseline" ``(dependent_key, dependency_key)`` request-key
+    pairs — compiles into a :class:`~repro.api.graph.TaskGraph`; on the
+    process executor with a store configured, missing store entries join
+    the graph as asset nodes gating exactly the solves that need them.
+    :func:`_execute` then dispatches ready nodes with no phase barriers:
+    inline one at a time for ``"serial"``, on the persistent process pool
+    (``workers`` wide, even for one request; workers mmap-attach
+    pre-warmed entries instead of rebuilding) for ``"process"``, so a
+    crashing solve takes down a pool worker, never the caller.  A graph
+    that can run more than one node at once dispatches longest first: its
+    nodes are ranked by the solve costs the run ledger recorded
+    (:func:`_ledger_ranks`); the inline executor reads no ledger.
+    Fault-free results are identical on both executors and in any order.
 
     Fault tolerance — retries with deterministic backoff, per-request
     timeouts (process executor only), broken-pool recovery — resolves
@@ -1246,13 +1310,92 @@ def _execute_requests(requests: List[RunRequest], workers: int,
     parent as each solve completes — the sweep journal's append hook.
     """
     _check_on_error(on_error)
-    prewarm = _prewarm_plan(requests) if executor == "process" else ()
+    pooled = executor == "process"
+    prewarm = _prewarm_plan(requests) if pooled else ()
     graph = compile_solve_graph(requests, edges=edges, assets=prewarm)
     stats = ExecutionStats(requests=len(requests), nodes=len(graph),
                            edges=graph.n_edges)
+    ranks = (_ledger_ranks(graph) if pooled and min(workers, len(graph)) > 1
+             else None)
     results, failures = _execute(graph, workers, executor, on_error,
-                                 on_result, stats)
+                                 on_result, stats, ranks)
     return results, failures, stats
+
+
+@dataclass
+class _Plan:
+    """A suite or sweep lowered to engine work.
+
+    ``requests`` and ``edges`` are what :func:`_execute_requests` runs,
+    under the resolved ``scale`` and ``criterion``; ``key`` is the
+    run-cache key of the result; ``lift(results, failures, stats)`` builds
+    that result from the engine's ``{request key: run}`` map (which may
+    hold other plans' runs too), appends the spec's ledger record of the
+    runs it executed, and caches a failure-free result.
+    """
+
+    key: tuple
+    scale: str
+    criterion: ConvergenceCriterion
+    requests: List[RunRequest]
+    edges: List[Tuple[str, str]]
+    lift: Callable[..., Any]
+
+
+def _cached(key: tuple) -> Any:
+    with _CACHE_LOCK:
+        return _CACHE.get(key)
+
+
+def _lower_suite(solver: str, scale: Optional[str],
+                 platforms: Optional[Iterable[str]],
+                 sids: Optional[Iterable[int]],
+                 criterion: Optional[ConvergenceCriterion]) -> _Plan:
+    """Lower one solver's suite run: one request per matrix, no edges."""
+    SOLVER_REGISTRY.get(solver)  # fail fast on unknown solvers
+    scale = resolve_scale(scale)
+    names = (DEFAULT_PLATFORMS if platforms is None
+             else platforms if isinstance(platforms, (str, bytes))
+             else tuple(platforms))  # one-shot iterables: two passes below
+    # Materialise variant tokens BEFORE reading the registry generation:
+    # first-time registrations bump it, and a key computed beforehand
+    # could never be hit again.
+    ensure_variant_platforms(names)
+    order = resolve_platforms(names)
+    ids = _check_sids(sids)
+    crit = (criterion if criterion is not None
+            else api_config.active().effective_criterion)
+    # Per-name registry versions are part of the key: a replace=True
+    # re-registration makes the same platform/solver name mean different
+    # work (a name-only key would serve the stale sweep silently), while
+    # registrations of *unrelated* names — say, a later sweep
+    # materialising new variant tokens — leave this key, and therefore
+    # the cached result, valid.
+    key = (scale, solver, order, ids, crit,
+           PLATFORM_REGISTRY.versions(order),
+           SOLVER_REGISTRY.versions((solver,)))
+    requests = [RunRequest(sid=sid, solver=solver, scale=scale,
+                           platforms=order, criterion=crit) for sid in ids]
+
+    def lift(results: Mapping[str, MatrixRun], failures: List[RunFailure],
+             stats: ExecutionStats) -> SuiteResult:
+        runs = SuiteResult((req.sid, results[req.key()]) for req in requests
+                           if req.key() in results)
+        runs.failures = tuple(failures)
+        runs.stats = stats
+        run_ledger.record_run(
+            "suite",
+            spec=SuiteSpec(solver=solver, scale=scale, platforms=order,
+                           sids=ids),
+            scale=scale, criterion=crit, runs=runs.values(),
+            failures=failures, stats=stats, platforms=order,
+            solvers=(solver,))
+        if not failures:
+            with _CACHE_LOCK:
+                _CACHE[key] = runs
+        return runs
+
+    return _Plan(key, scale, crit, requests, [], lift)
 
 
 def run_suite(solver: str, scale: Optional[str] = None,
@@ -1298,53 +1441,16 @@ def run_suite(solver: str, scale: Optional[str] = None,
             return run_suite(solver, scale, use_cache, max_workers, executor,
                              platforms, sids, criterion, on_error=on_error)
     _check_on_error(on_error)
-    SOLVER_REGISTRY.get(solver)  # fail fast on unknown solvers
-    scale = resolve_scale(scale)
+    plan = _lower_suite(solver, scale, platforms, sids, criterion)
     executor = _suite_executor(executor)
-    names = (DEFAULT_PLATFORMS if platforms is None
-             else platforms if isinstance(platforms, (str, bytes))
-             else tuple(platforms))  # one-shot iterables: two passes below
-    # Materialise variant tokens BEFORE reading the registry generation:
-    # first-time registrations bump it, and a key computed beforehand
-    # could never be hit again.
-    ensure_variant_platforms(names)
-    order = resolve_platforms(names)
-    ids = _check_sids(sids)
-    crit = (criterion if criterion is not None
-            else api_config.active().effective_criterion)
-    # Per-name registry versions are part of the key: a replace=True
-    # re-registration makes the same platform/solver name mean different
-    # work (a name-only key would serve the stale sweep silently), while
-    # registrations of *unrelated* names — say, a later sweep
-    # materialising new variant tokens — leave this key, and therefore
-    # the cached result, valid.
-    key = (scale, solver, order, ids, crit,
-           PLATFORM_REGISTRY.versions(order),
-           SOLVER_REGISTRY.versions((solver,)))
     if use_cache:
-        with _CACHE_LOCK:
-            cached = _CACHE.get(key)
+        cached = _cached(plan.key)
         if cached is not None:
             return cached
-    requests = [RunRequest(sid=sid, solver=solver, scale=scale,
-                           platforms=order, criterion=crit) for sid in ids]
-    workers = max_workers if max_workers is not None else _suite_workers(len(ids))
-    results, failures, stats = _execute_requests(requests, workers, executor,
-                                                 on_error=on_error)
-    runs = SuiteResult((req.sid, results[req.key()]) for req in requests
-                       if req.key() in results)
-    runs.failures = tuple(failures)
-    runs.stats = stats
-    run_ledger.record_run(
-        "suite",
-        spec=SuiteSpec(solver=solver, scale=scale, platforms=order,
-                       sids=ids),
-        scale=scale, criterion=crit, runs=runs.values(), failures=failures,
-        stats=stats, platforms=order, solvers=(solver,))
-    if not failures:
-        with _CACHE_LOCK:
-            _CACHE[key] = runs
-    return runs
+    workers = (max_workers if max_workers is not None
+               else _suite_workers(len(plan.requests)))
+    return plan.lift(*_execute_requests(plan.requests, workers, executor,
+                                        on_error=on_error))
 
 
 def run_spec(spec: SuiteSpec, use_cache: bool = True,
@@ -1460,6 +1566,105 @@ def _graft_baseline(variant_run: MatrixRun, baseline_run: MatrixRun,
         times_s={**baseline_run.times_s, **variant_run.times_s})
 
 
+def _lower_sweep(spec: SweepSpec,
+                 criterion: Optional[ConvergenceCriterion]) -> _Plan:
+    """Lower a sweep: per tolerance, one baseline request per (solver,
+    sid), then one request per (solver, variant, sid), each variant
+    needing its (solver, sid) baseline."""
+    scale = resolve_scale(spec.scale)
+    variants = spec.variants()
+    ensure_variant_platforms([token for token, _ in variants])
+    if spec.baseline:
+        # The baseline set may name variant tokens too.
+        ensure_variant_platforms(spec.baseline)
+        baseline = resolve_platforms(spec.baseline)
+    else:
+        baseline = ()
+    for solver in spec.solvers:
+        SOLVER_REGISTRY.get(solver)  # fail fast on unknown solvers
+    ids = _check_sids(spec.sids)
+    crit = (criterion if criterion is not None
+            else api_config.active().effective_criterion)
+    # The tolerance axis: each tol re-runs the grid under the base
+    # criterion with its tol replaced.  The per-cell criterion is stamped
+    # into every RunRequest below, so request keys — and therefore journal
+    # records and engine caching — distinguish the tolerance cells.
+    crits = (tuple(replace(crit, tol=t) for t in spec.tols)
+             if spec.tols else (crit,))
+    swept = baseline + tuple(token for token, _ in variants)
+    key = ("sweep", spec, scale, crit,
+           PLATFORM_REGISTRY.versions(swept),
+           SOLVER_REGISTRY.versions(spec.solvers))
+
+    def request(solver: str, platforms: Tuple[str, ...], sid: int,
+                c: ConvergenceCriterion) -> RunRequest:
+        return RunRequest(sid=sid, solver=solver, scale=scale,
+                          platforms=platforms, criterion=c)
+
+    requests: List[RunRequest] = []
+    edges: List[Tuple[str, str]] = []
+    for c in crits:
+        cells = [request(solver, (token,), sid, c)
+                 for solver in spec.solvers
+                 for token, _ in variants for sid in ids]
+        if baseline:
+            requests += [request(solver, baseline, sid, c)
+                         for solver in spec.solvers for sid in ids]
+            # "Needs baseline" edges: each variant cell depends on its
+            # (solver, sid) baseline request, so the scheduler grafts by
+            # dependency instead of a solve-all-baselines-first barrier.
+            edges += [(cell.key(),
+                       request(cell.solver, baseline, cell.sid, c).key())
+                      for cell in cells if cell.platforms != baseline]
+        requests += cells
+
+    def lift(results: Mapping[str, MatrixRun], failures: List[RunFailure],
+             stats: ExecutionStats,
+             replayed: Optional[Mapping[str, MatrixRun]] = None,
+             ) -> SweepResult:
+        by_key = {**(replayed or {}), **results}
+        # Without a tolerance axis the run keys stay the historical
+        # (solver, token) pairs; with one they grow a trailing tol element.
+        runs: Dict[Tuple[str, ...], Dict[int, MatrixRun]] = {}
+        for c in crits:
+            for solver in spec.solvers:
+                for token, _ in variants:
+                    cell = {}
+                    for sid in ids:
+                        vrun = by_key.get(
+                            request(solver, (token,), sid, c).key())
+                        if vrun is None:
+                            continue  # failed cell under on_error="collect"
+                        if baseline:
+                            brun = by_key.get(
+                                request(solver, baseline, sid, c).key())
+                            if brun is not None:
+                                vrun = _graft_baseline(vrun, brun)
+                        cell[sid] = vrun
+                    rkey = ((solver, token) if spec.tols is None
+                            else (solver, token, float(c.tol)))
+                    runs[rkey] = cell
+        result = SweepResult(spec=spec, scale=scale, criterion=crit,
+                             runs=runs,
+                             params={token: params
+                                     for token, params in variants},
+                             failures=tuple(failures), stats=stats)
+        # The ledger gets the runs this call executed (not the replayed
+        # ones, nor other specs' runs in a shared graph), in request order.
+        own = dict.fromkeys(req.key() for req in requests)
+        run_ledger.record_run(
+            "sweep", spec=spec, scale=scale, criterion=crit,
+            runs=[results[k] for k in own if k in results],
+            failures=failures, stats=stats, platforms=swept,
+            solvers=spec.solvers)
+        if not failures:
+            with _CACHE_LOCK:
+                _CACHE[key] = result
+        return result
+
+    return _Plan(key, scale, crit, requests, edges, lift)
+
+
 def run_sweep(spec: SweepSpec, use_cache: bool = True,
               max_workers: Optional[int] = None,
               executor: Optional[str] = None,
@@ -1500,50 +1705,12 @@ def run_sweep(spec: SweepSpec, use_cache: bool = True,
         raise ValueError(
             "resume=True needs a journal (a path, or 'auto' for the "
             "store-rooted default)")
-    scale = resolve_scale(spec.scale)
+    plan = _lower_sweep(spec, criterion)
     executor = _suite_executor(executor)
-    variants = spec.variants()
-    ensure_variant_platforms([token for token, _ in variants])
-    if spec.baseline:
-        # The baseline set may name variant tokens too.
-        ensure_variant_platforms(spec.baseline)
-        baseline = resolve_platforms(spec.baseline)
-    else:
-        baseline = ()
-    for solver in spec.solvers:
-        SOLVER_REGISTRY.get(solver)  # fail fast on unknown solvers
-    ids = _check_sids(spec.sids)
-    crit = (criterion if criterion is not None
-            else api_config.active().effective_criterion)
-    # The tolerance axis: each tol re-runs the grid under the base
-    # criterion with its tol replaced.  The per-cell criterion is stamped
-    # into every RunRequest below, so request keys — and therefore journal
-    # records and engine caching — distinguish the tolerance cells.
-    crits = (tuple(replace(crit, tol=t) for t in spec.tols)
-             if spec.tols else (crit,))
-    swept = baseline + tuple(token for token, _ in variants)
-    key = ("sweep", spec, scale, crit,
-           PLATFORM_REGISTRY.versions(swept),
-           SOLVER_REGISTRY.versions(spec.solvers))
     if use_cache and journal is None:
-        with _CACHE_LOCK:
-            cached = _CACHE.get(key)
+        cached = _cached(plan.key)
         if cached is not None:
             return cached
-
-    def request(solver: str, platforms: Tuple[str, ...], sid: int,
-                c: ConvergenceCriterion = crit) -> RunRequest:
-        return RunRequest(sid=sid, solver=solver, scale=scale,
-                          platforms=platforms, criterion=c)
-
-    requests = []
-    for c in crits:
-        if baseline:
-            requests += [request(solver, baseline, sid, c)
-                         for solver in spec.solvers for sid in ids]
-        requests += [request(solver, (token,), sid, c)
-                     for solver in spec.solvers
-                     for token, _ in variants for sid in ids]
 
     jr = None
     journaled: Dict[str, MatrixRun] = {}
@@ -1553,34 +1720,21 @@ def run_sweep(spec: SweepSpec, use_cache: bool = True,
             default_journal_path,
         )
 
-        path = (default_journal_path(spec, scale, crit)
+        path = (default_journal_path(spec, plan.scale, plan.criterion)
                 if journal == "auto" else journal)
         jr = SweepJournal(path)
         if resume:
-            journaled = jr.load(spec, scale, crit)
-    to_run = [req for req in requests if req.key() not in journaled]
-    # "Needs baseline" edges: each variant cell depends on its
-    # (solver, sid) baseline request, so the scheduler grafts by
-    # dependency instead of a solve-all-baselines-first phase barrier.
+            journaled = jr.load(spec, plan.scale, plan.criterion)
+    to_run = [req for req in plan.requests if req.key() not in journaled]
     # Cells already journaled satisfy their dependents by replay, so only
     # edges with both endpoints still to run are compiled.
-    edges: List[Tuple[str, str]] = []
-    if baseline:
-        to_run_keys = {req.key() for req in to_run}
-        for c in crits:
-            for solver in spec.solvers:
-                for sid in ids:
-                    bkey = request(solver, baseline, sid, c).key()
-                    if bkey not in to_run_keys:
-                        continue
-                    for token, _ in variants:
-                        vkey = request(solver, (token,), sid, c).key()
-                        if vkey in to_run_keys and vkey != bkey:
-                            edges.append((vkey, bkey))
+    to_run_keys = {req.key() for req in to_run}
+    edges = [(vkey, bkey) for vkey, bkey in plan.edges
+             if vkey in to_run_keys and bkey in to_run_keys]
     workers = (max_workers if max_workers is not None
                else _suite_workers(len(to_run) or 1))
     if jr is not None:
-        jr.open(spec, scale, crit, resume=resume)
+        jr.open(spec, plan.scale, plan.criterion, resume=resume)
 
         def on_result(req: RunRequest, run: MatrixRun) -> None:
             jr.record(req.key(), run)
@@ -1593,40 +1747,39 @@ def run_sweep(spec: SweepSpec, use_cache: bool = True,
     finally:
         if jr is not None:
             jr.close()
-    stats.journal_skipped = len(requests) - len(to_run)
-    by_key: Dict[str, MatrixRun] = dict(journaled)
-    by_key.update(results)
-    # Without a tolerance axis the run keys stay the historical
-    # (solver, token) pairs; with one they grow a trailing tol element.
-    runs: Dict[Tuple[str, ...], Dict[int, MatrixRun]] = {}
-    for c in crits:
-        for solver in spec.solvers:
-            for token, _ in variants:
-                cell = {}
-                for sid in ids:
-                    vrun = by_key.get(request(solver, (token,), sid, c).key())
-                    if vrun is None:
-                        continue  # failed cell under on_error="collect"
-                    if baseline:
-                        brun = by_key.get(
-                            request(solver, baseline, sid, c).key())
-                        if brun is not None:
-                            vrun = _graft_baseline(vrun, brun)
-                    cell[sid] = vrun
-                rkey = ((solver, token) if spec.tols is None
-                        else (solver, token, float(c.tol)))
-                runs[rkey] = cell
-    result = SweepResult(spec=spec, scale=scale, criterion=crit, runs=runs,
-                         params={token: params for token, params in variants},
-                         failures=tuple(failures), stats=stats)
-    run_ledger.record_run(
-        "sweep", spec=spec, scale=scale, criterion=crit,
-        runs=results.values(), failures=failures, stats=stats,
-        platforms=swept, solvers=spec.solvers)
-    if not failures:
-        with _CACHE_LOCK:
-            _CACHE[key] = result
-    return result
+    stats.journal_skipped = len(plan.requests) - len(to_run)
+    return plan.lift(results, failures, stats, replayed=journaled)
+
+
+def run_specs(specs: Iterable[Union[SuiteSpec, SweepSpec]],
+              ) -> List[Union[SuiteResult, SweepResult]]:
+    """Run several suite and sweep specs as one task graph.
+
+    Each spec lowers to its requests and "needs baseline" edges exactly as
+    :func:`run_spec` and :func:`run_sweep` lower it; the union runs in one
+    engine call, so no spec waits behind another's last solve, the process
+    pool ranks all of them together, and a request two specs share runs
+    once.  Each spec's result is then cached under the key those
+    functions look up, with its own ledger record; all of them carry the
+    one call's :class:`ExecutionStats`.  Results return in spec order, and
+    specs already cached run nothing.  Executor, worker count and
+    criterion come from the active config; the first failure raises.
+    """
+    plans = [_lower_sweep(spec, None) if isinstance(spec, SweepSpec)
+             else _lower_suite(spec.solver, spec.scale, spec.platforms,
+                               spec.sids, None)
+             for spec in specs]
+    executor = _suite_executor()
+    hits = [_cached(plan.key) for plan in plans]
+    todo = [plan for plan, hit in zip(plans, hits) if hit is None]
+    if todo:
+        requests = list({req.key(): req for plan in todo
+                         for req in plan.requests}.values())
+        edges = [edge for plan in todo for edge in plan.edges]
+        outcome = _execute_requests(requests, _suite_workers(len(requests)),
+                                    executor, edges=edges)
+    return [hit if hit is not None else plan.lift(*outcome)
+            for plan, hit in zip(plans, hits)]
 
 
 def geometric_mean(values: List[float]) -> float:

@@ -22,7 +22,7 @@ from repro.experiments.common import run_sweep
 from repro.experiments.reporting import format_table
 from repro.sparse.gallery.suite import resolve_scale
 
-__all__ = ["run", "collect", "sweep_spec", "NOISE_SWEEP"]
+__all__ = ["run", "collect", "specs", "sweep_spec", "NOISE_SWEEP"]
 
 #: sigma values from 0.1% to 25% (the paper's x-axis).
 NOISE_SWEEP = [0.001, 0.005, 0.01, 0.05, 0.10, 0.15, 0.25]
@@ -40,6 +40,11 @@ def sweep_spec(sid: int = 355, seed: int = DEFAULT_SEED,
                            "seed": seed, "setup": 1},
                      solvers=("cg",), baseline=("gpu",),
                      sids=(sid,), scale=scale)
+
+
+def specs(scale: Optional[str] = None) -> List[SweepSpec]:
+    """The sweeps :func:`collect` runs by default (for ``all``'s graph)."""
+    return [sweep_spec(scale=resolve_scale(scale))]
 
 
 def collect(scale: Optional[str] = None, sid: int = 355,

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional
 
-from repro.experiments.common import geometric_mean, run_suite
+from repro.api import SuiteSpec
+from repro.experiments.common import geometric_mean, run_spec
 from repro.experiments.reporting import format_table
 
-__all__ = ["run", "collect", "speedup_table", "PLATFORM_LABELS"]
+__all__ = ["run", "collect", "specs", "speedup_table", "PLATFORM_LABELS"]
 
 #: Display labels of the builtin platforms (registry names fall through).
 PLATFORM_LABELS = {"feinberg": "Feinberg", "feinberg_fc": "Feinberg-fc",
@@ -39,6 +40,14 @@ def speedup_table(runs: Dict[int, object]) -> dict:
     return {"platforms": compared, "rows": rows, "gmn": gmn}
 
 
+def specs(scale: Optional[str] = None,
+          platforms: Optional[Iterable[str]] = None) -> List[SuiteSpec]:
+    """Fig. 8 as data: one whole-suite run per solver (Fig. 9 and
+    Table VI render the same runs)."""
+    return [SuiteSpec(solver=solver, scale=scale, platforms=platforms)
+            for solver in ("cg", "bicgstab")]
+
+
 def collect(scale: Optional[str] = None,
             platforms: Optional[Iterable[str]] = None) -> Dict[str, dict]:
     """Speedup table data for both solvers.
@@ -47,9 +56,8 @@ def collect(scale: Optional[str] = None,
     {platform: gmn}}}`` (see :func:`speedup_table`).  ``platforms`` sweeps
     a registered subset (or superset — any registry name works).
     """
-    return {solver: speedup_table(run_suite(solver, scale,
-                                            platforms=platforms))
-            for solver in ("cg", "bicgstab")}
+    return {spec.solver: speedup_table(run_spec(spec))
+            for spec in specs(scale, platforms)}
 
 
 def run(scale: Optional[str] = None, print_output: bool = True,

@@ -12,7 +12,9 @@ is a torn final line the replay tolerates":
   criterion, registry version stamps, git sha, summary-grade results,
   failures, engine counters — answering "what has this deployment
   solved, under which config, and how did perf trend?".  The ``report``
-  CLI subcommand replays it.
+  CLI subcommand replays it, and the run engine reads the recorded
+  iteration counts back (:func:`solve_costs`) to start the costliest
+  solves first.
 
 :class:`JsonlLog` is the extracted core both build on.  The ledger lives
 at ``<ledger root>/ledger.jsonl`` where the root is
@@ -53,9 +55,15 @@ __all__ = [
     "ledger_root",
     "ledger_stats",
     "record_run",
+    "solve_costs",
 ]
 
 LEDGER_VERSION = 1
+
+#: Bytes at the end of the ledger that :func:`solve_costs` reads.  The
+#: ledger grows with every run, so a cost lookup reads a fixed tail, never
+#: the whole file; one ``all --scale test`` appends about 26 KB.
+COST_TAIL_BYTES = 256 * 1024
 
 #: ``RunConfig.ledger`` values that disable the ledger outright (the
 #: store-rooted default included).
@@ -265,6 +273,11 @@ def _registry_stamps(platforms: Iterable[str],
             "solvers": stamps(SOLVER_REGISTRY, solvers)}
 
 
+def _is_record(record: Any) -> bool:
+    return (isinstance(record, dict) and record.get("type") == "RunLedger"
+            and record.get("version") == LEDGER_VERSION)
+
+
 class RunLedger:
     """One ledger file: concurrency-safe appends + tolerant replay."""
 
@@ -283,9 +296,30 @@ class RunLedger:
         deployment's lifetime and must replay whatever survives.
         """
         return [record for _, record in self._log.replay(torn="skip")
-                if isinstance(record, dict)
-                and record.get("type") == "RunLedger"
-                and record.get("version") == LEDGER_VERSION]
+                if _is_record(record)]
+
+    def tail(self, max_bytes: int) -> List[Dict]:
+        """The well-formed records in the file's last ``max_bytes``, in
+        append order (a record the window cuts is skipped like a torn
+        line); a missing file has none."""
+        try:
+            with open(self.path, "rb") as fh:
+                start = max(0, fh.seek(0, os.SEEK_END) - max_bytes)
+                fh.seek(start)
+                lines = fh.read().split(b"\n")
+        except FileNotFoundError:
+            return []
+        if start:
+            lines = lines[1:]
+        records = []
+        for line in lines:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if _is_record(record):
+                records.append(record)
+        return records
 
     def stats(self) -> Dict[str, int]:
         """On-disk totals: well-formed record count and file size."""
@@ -341,6 +375,35 @@ def record_run(kind: str, *, spec: Any, scale: Optional[str],
         return None
     _bump("appends")
     return path
+
+
+def solve_costs() -> Dict[Tuple[str, int, str, str], int]:
+    """Recorded solve cost per ``(scale, sid, solver, platform)``.
+
+    The cost is ``iterations × nnz`` (the SpMV work of the solve; a run
+    that did not converge spent its whole iteration budget) from the
+    newest record in the ledger's last :data:`COST_TAIL_BYTES`.  The
+    records hold modelled hardware time, not host time, so work is the
+    proxy.  Empty with no ledger configured or an unreadable one.
+    """
+    path = ledger_path()
+    if path is None:
+        return {}
+    costs: Dict[Tuple[str, int, str, str], int] = {}
+    try:
+        records = RunLedger(path).tail(COST_TAIL_BYTES)
+    except OSError:
+        return costs
+    for record in records:
+        try:
+            for run in record.get("runs") or ():
+                for platform, cell in run["platforms"].items():
+                    costs[(record["scale"], int(run["sid"]), run["solver"],
+                           platform)] = (int(cell["iterations"])
+                                         * int(run["nnz"]))
+        except (KeyError, TypeError, ValueError, AttributeError):
+            continue  # an alien run shape: skip the rest of the record
+    return costs
 
 
 def ledger_stats() -> Dict[str, Any]:

@@ -2,24 +2,26 @@
 (crystm03, CG).
 
 Two sweeps, as in the paper: fraction bits at full (11-bit) exponent, and
-exponent bits at full (52-bit) fraction.  NC = the solver hit its budget,
-diverged, or broke down.
+exponent bits at full (52-bit) fraction.  Both are 1-D sweeps of the
+``truncated`` variant family with no baseline, executed by
+:func:`repro.experiments.common.run_sweep` (the right-hand side is the
+engine's ``A @ 1``).  NC = the solver hit its budget, diverged, or broke
+down.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.api import SweepSpec
 from repro.api import config as api_config
+from repro.experiments.common import run_sweep
 from repro.experiments.reporting import format_table
-from repro.operators import TruncatedOperator
-from repro.solvers import cg
-from repro.sparse.gallery.suite import PAPER_SUITE, resolve_scale
+from repro.sparse.gallery.suite import resolve_scale
 
-__all__ = ["run", "collect", "FRAC_SWEEP", "EXP_SWEEP", "PAPER_TABLE1"]
+__all__ = ["run", "collect", "specs", "FRAC_SWEEP", "EXP_SWEEP",
+           "PAPER_TABLE1"]
 
 FRAC_SWEEP = [52, 30, 29, 28, 27, 26, 25, 24, 23, 22, 21, 20]
 EXP_SWEEP = [11, 10, 9, 8, 7, 6]
@@ -34,27 +36,34 @@ PAPER_TABLE1 = {
 }
 
 
+def specs(scale: Optional[str] = None,
+          sid: int = 355) -> Tuple[SweepSpec, SweepSpec]:
+    """Table I as data: the fraction sweep at ``e=11`` and the exponent
+    sweep at ``f=52`` (they share the ``(11, 52)`` cell)."""
+
+    def sweep(grid: dict) -> SweepSpec:
+        return SweepSpec(family="truncated", grid=grid, solvers=("cg",),
+                         baseline=None, sids=(sid,),
+                         scale=resolve_scale(scale))
+
+    return (sweep({"e": 11, "f": tuple(FRAC_SWEEP)}),
+            sweep({"e": tuple(EXP_SWEEP), "f": 52}))
+
+
 def collect(scale: Optional[str] = None, sid: int = 355,
             max_iterations: Optional[int] = None) -> Dict[str, List[dict]]:
-    scale = resolve_scale(scale)
-    A = PAPER_SUITE[sid].matrix(scale)
-    b = A @ np.ones(A.shape[0])
     crit = api_config.active().effective_criterion
     if max_iterations is not None:
         crit = replace(crit, max_iterations=max_iterations)
-
-    def solve(exp_bits, frac_bits):
-        op = TruncatedOperator(A, exp_bits=exp_bits, frac_bits=frac_bits)
-        res = cg(op, b, criterion=crit)
-        return res.iterations if res.converged else None
-
-    out = {"frac": [], "exp": []}
-    for f in FRAC_SWEEP:
-        out["frac"].append({"exp": 11, "frac": f, "iterations": solve(11, f),
-                            "paper": PAPER_TABLE1[("frac", f)]})
-    for e in EXP_SWEEP:
-        out["exp"].append({"exp": e, "frac": 52, "iterations": solve(e, 52),
-                           "paper": PAPER_TABLE1[("exp", e)]})
+    out: Dict[str, List[dict]] = {}
+    for name, spec in zip(("frac", "exp"), specs(scale, sid)):
+        result = run_sweep(spec, criterion=crit)
+        out[name] = [
+            {"exp": params["e"], "frac": params["f"],
+             "iterations": result.variant(token)[sid].iterations(token),
+             "paper": PAPER_TABLE1[(name, params["f" if name == "frac"
+                                                 else "e"])]}
+            for token, params in result.params.items()]
     return out
 
 

@@ -23,7 +23,6 @@ from repro.formats.refloat import (
     encode_values,
     decode_values,
     quantize_vector,
-    quantize_vector_storage,
     vector_segment_bases,
 )
 from repro.formats.feinberg import (
@@ -54,7 +53,6 @@ __all__ = [
     "encode_values",
     "decode_values",
     "quantize_vector",
-    "quantize_vector_storage",
     "vector_segment_bases",
     "FeinbergSpec",
     "matrix_anchor_exponent",

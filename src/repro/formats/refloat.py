@@ -64,7 +64,6 @@ __all__ = [
     "decode_values",
     "quantize_vector",
     "quantize_vector_reference",
-    "quantize_vector_storage",
     "vector_segment_bases",
 ]
 
@@ -754,22 +753,3 @@ def quantize_vector(x, spec: ReFloatSpec) -> Tuple[np.ndarray, np.ndarray]:
     if x.size == 0:
         return x.copy(), np.zeros(0, dtype=np.int32)
     return vector_converter_plan(x.size, spec).convert(x, reuse=False)
-
-
-def quantize_vector_storage(x, spec: ReFloatSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Quantise a vector into the *storage* codec: (1 + ev + fv) bits/element.
-
-    Unlike :func:`quantize_vector` (the DAC path), this forces each element
-    into the per-element floating layout — sign, ev-bit offset, fv-bit
-    fraction — the representation used when a vector segment must be *kept*
-    in ReFloat form (e.g. buffering partial vectors off-engine).  Elements
-    below the offset window follow ``spec.underflow``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    ebv = vector_segment_bases(x, spec.b, ev=spec.ev, eb_policy=spec.eb_policy)
-    # Cold path: transient index expansion, deliberately not via the plan
-    # cache (a one-off storage quantisation should not pin O(n) plan state).
-    per_elem_eb = np.repeat(ebv, 1 << spec.b)[: x.size]
-    xq, _ = quantize_values(x, spec.ev, spec.fv, eb=per_elem_eb,
-                            rounding=spec.rounding, underflow=spec.underflow)
-    return xq, ebv

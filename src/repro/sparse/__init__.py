@@ -7,7 +7,6 @@ from repro.sparse.stats import (
     extreme_eigenvalues,
     is_symmetric,
     nnz_per_row,
-    summarize,
 )
 
 __all__ = [
@@ -18,5 +17,4 @@ __all__ = [
     "extreme_eigenvalues",
     "is_symmetric",
     "nnz_per_row",
-    "summarize",
 ]

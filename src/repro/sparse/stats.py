@@ -1,4 +1,4 @@
-"""Matrix statistics: the Table V columns plus exponent/magnitude profiles."""
+"""Matrix statistics: the Table V columns."""
 
 from __future__ import annotations
 
@@ -7,14 +7,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.formats import ieee
 
 __all__ = [
     "is_symmetric",
     "nnz_per_row",
     "extreme_eigenvalues",
     "condition_number",
-    "summarize",
 ]
 
 
@@ -73,31 +71,3 @@ def condition_number(A, tol: float = 1e-6) -> float:
     if lam_min <= 0:
         return float("inf")
     return lam_max / lam_min
-
-
-def exponent_profile(A) -> dict:
-    """Unbiased-exponent span of the nonzero values (locality raw material)."""
-    A = sp.csr_matrix(A)
-    _, exp, _ = ieee.decompose(A.data)
-    exp = exp[exp != ieee.EXP_ZERO]
-    if exp.size == 0:
-        return {"min": 0, "max": 0, "span": 0}
-    return {"min": int(exp.min()), "max": int(exp.max()),
-            "span": int(exp.max() - exp.min())}
-
-
-def summarize(A, with_condition: bool = False) -> dict:
-    """The Table V row for a matrix (condition number optional: it is the
-    only expensive column)."""
-    A = sp.csr_matrix(A)
-    out = {
-        "rows": int(A.shape[0]),
-        "cols": int(A.shape[1]),
-        "nnz": int(A.nnz),
-        "nnz_per_row": round(nnz_per_row(A), 2),
-        "symmetric": is_symmetric(A, tol=1e-12),
-    }
-    out.update({f"exp_{k}": v for k, v in exponent_profile(A).items()})
-    if with_condition:
-        out["kappa"] = condition_number(A)
-    return out

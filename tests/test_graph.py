@@ -1,11 +1,12 @@
 """The dependency-aware task graph and the graph-driven run engine.
 
 Covers the graph/scheduler primitives (topological dispatch order, named
-cycle errors, dependent-skip on failure), the engine integration (suite
-and sweep results pinned bit-identical to direct ``run_matrix`` solves on
-both executors), the no-phase-barrier property (a variant solve dispatches
-while a baseline is still running), and the ``"asset"``/``"dependency"``
-failure phases that replaced the silently-dropped pre-warm futures.
+cycle errors, dependent-skip on failure, ranked dispatch), the engine
+integration (suite and sweep results pinned bit-identical to direct
+``run_matrix`` solves on both executors), the no-phase-barrier property (a
+variant solve dispatches while a baseline is still running), ranked
+dispatch on the process pool, and the ``"asset"``/``"dependency"`` failure
+phases that replaced the silently-dropped pre-warm futures.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.api.graph import (
     SolveNode,
     TaskGraph,
     compile_solve_graph,
+    critical_path_ranks,
 )
 from repro.api.registry import Registry, resolve_platforms
 from repro.api.specs import RunRequest
@@ -245,6 +247,79 @@ class TestGraphScheduler:
             GraphScheduler(g)
 
 
+def _dispatch_all(sched):
+    """Pop, start and complete nodes one at a time; the dispatch order."""
+    order = []
+    while not sched.is_finished:
+        key = sched.pop_ready()
+        sched.start(key)
+        order.append(key)
+        sched.complete(key)
+    return order
+
+
+class TestRankedDispatch:
+    def _late_unlock(self):
+        # x -> y, plus independent z and w: y becomes ready only after x.
+        g = TaskGraph()
+        for key in ("x", "z", "y", "w"):
+            g.add(key)
+        g.depend("y", "x")
+        return g
+
+    def test_highest_rank_dispatches_first(self):
+        g = TaskGraph()
+        for key in ("a", "b", "c", "d"):
+            g.add(key)
+        sched = GraphScheduler(g, ranks={"c": 3.0, "a": 1.0})
+        assert _dispatch_all(sched) == ["c", "a", "b", "d"]
+
+    def test_equal_ranks_keep_the_unranked_order(self):
+        # Unranked: the first ready dispatches first, and a node unlocked
+        # later queues behind every node already waiting.
+        unranked = _dispatch_all(GraphScheduler(self._late_unlock()))
+        assert unranked == ["x", "z", "w", "y"]
+        for ranks in ({}, dict.fromkeys("xyzw", 7.0)):
+            assert _dispatch_all(
+                GraphScheduler(self._late_unlock(), ranks)) == unranked
+
+    def test_requeue_front_and_back_within_a_rank(self):
+        g = TaskGraph()
+        for key in ("a", "b", "c"):
+            g.add(key)
+        sched = GraphScheduler(g, ranks={"a": 1.0, "b": 1.0, "c": 5.0})
+        assert sched.pop_ready() == "c"
+        sched.requeue("c")  # back of its rank: still above the rank-1 nodes
+        assert sched.pop_ready() == "c"
+        assert sched.pop_ready() == "a"
+        sched.requeue("a")  # back of rank 1: behind b
+        assert sched.pop_ready() == "b"
+        sched.requeue("b", front=True)  # front of rank 1: ahead of a
+        assert sched.pop_ready() == "b"
+        assert sched.pop_ready() == "a"
+
+    def test_baseline_inherits_its_costliest_dependent(self):
+        base = _request(1313)
+        cheap = _request(1313, platforms=("noisy@seed=7,sigma=0.01",))
+        dear = _request(1313, platforms=("noisy@seed=7,sigma=0.25",))
+        other = _request(1288)
+        graph = compile_solve_graph(
+            [base, cheap, dear, other],
+            edges=[(cheap.key(), base.key()), (dear.key(), base.key())],
+            assets=[(1313, "test")])
+        ranks = critical_path_ranks(graph, {
+            base.key(): 1, cheap.key(): 2, dear.key(): 10, other.key(): 5})
+        assert ranks[base.key()] == 11  # its own 1 plus dear's 10
+        assert ranks[AssetNode.key_for(1313, "test")] == 11
+        assert (ranks[cheap.key()], ranks[dear.key()],
+                ranks[other.key()]) == (2, 10, 5)
+        order = _dispatch_all(GraphScheduler(graph, ranks))
+        # The baseline outranks 'other' on what it unlocks, and 'dear',
+        # unlocked mid-run, overtakes the 'other' that was already waiting.
+        assert order == [AssetNode.key_for(1313, "test"), base.key(),
+                         dear.key(), other.key(), cheap.key()]
+
+
 # ----------------------------------------------------------------------
 # Compiling request batches
 
@@ -361,6 +436,42 @@ class TestNoPhaseBarrier:
         variant_first = min(t["first_dispatch"] for t in trace.values()
                             if t["kind"] == "solve")
         assert variant_first < baseline_finish
+
+
+# ----------------------------------------------------------------------
+# Ranked dispatch on the process pool
+
+
+class TestRankedDispatchOnThePool:
+    def test_high_rank_node_unlocked_mid_run_dispatches_first(
+            self, fresh_caches):
+        # One worker, so the order is deterministic.  The variant unlocks
+        # when its baseline completes, while three lower-ranked solves are
+        # still waiting; the engine keeps no more nodes in flight than
+        # workers, so the scheduler (not the pool's FIFO call queue)
+        # decides that the variant runs next.
+        base = _request(1313)
+        variant = _request(1313, platforms=("noisy@seed=7,sigma=0.01",))
+        others = [_request(sid) for sid in (1288, 2257, 353)]
+
+        def dispatch_order(ranks):
+            graph = compile_solve_graph(
+                [base, *others, variant],
+                edges=[(variant.key(), base.key())])
+            stats = ExecutionStats(requests=5, nodes=5, edges=1)
+            results, failures = common._execute(
+                graph, 1, "process", "collect", None, stats, ranks)
+            assert not failures and len(results) == 5
+            return sorted(stats.trace,
+                          key=lambda key: stats.trace[key]["first_dispatch"])
+
+        ranks = {variant.key(): 10, base.key(): 10,
+                 **{req.key(): 1 for req in others}}
+        assert dispatch_order(ranks) == [
+            base.key(), variant.key(), *(req.key() for req in others)]
+        # Unranked, the variant queues behind every waiting solve.
+        assert dispatch_order(None) == [
+            base.key(), *(req.key() for req in others), variant.key()]
 
 
 # ----------------------------------------------------------------------

@@ -263,6 +263,68 @@ class TestRecordRun:
         ledger.reset_counters()
 
 
+class TestSolveCosts:
+    """The recorded solve costs the process pool ranks its graph by."""
+
+    def _record(self, iterations, sid=1313):
+        data = _run_dict(sid)
+        data["platforms"]["gpu"]["iterations"] = iterations
+        ledger.record_run("suite", spec={"type": "Test"}, scale="test",
+                          criterion=None, runs=[MatrixRun.from_dict(data)])
+
+    def test_newest_record_wins(self, ledger_env):
+        self._record(40)
+        self._record(70)
+        costs = ledger.solve_costs()
+        assert costs[("test", 1313, "cg", "gpu")] == 70 * 3364
+        assert costs[("test", 1313, "cg", "feinberg")] == 40 * 3364
+
+    def test_read_is_bounded_to_the_tail(self, ledger_env, monkeypatch):
+        self._record(40, sid=1313)
+        for _ in range(20):
+            self._record(50, sid=353)
+        assert ("test", 1313, "cg", "gpu") in ledger.solve_costs()
+        half = ledger_env.stat().st_size // 2
+        assert len(RunLedger(ledger_env).tail(half)) < 20
+        monkeypatch.setattr(ledger, "COST_TAIL_BYTES", half)
+        tail = ledger.solve_costs()
+        assert ("test", 1313, "cg", "gpu") not in tail
+        assert tail[("test", 353, "cg", "gpu")] == 50 * 3364
+
+    def test_ledger_off_leaves_the_graph_unranked(self, ledger_env,
+                                                  monkeypatch):
+        from repro.api.graph import compile_solve_graph
+        from repro.experiments import common
+
+        self._record(40)
+        # feinberg_fc reuses gpu's numerics: only gpu's solve is a cost.
+        req = RunRequest(sid=1313, solver="cg", scale="test",
+                         platforms=("gpu", "feinberg_fc"))
+        other = RunRequest(sid=353, solver="cg", scale="test",
+                           platforms=("gpu",))
+        graph = compile_solve_graph([req, other])
+        assert common._ledger_ranks(graph) == {req.key(): 40 * 3364,
+                                               other.key(): 0}
+        monkeypatch.setenv("REPRO_RUN_LEDGER", "off")
+        assert common._ledger_ranks(graph) == {}
+
+    def test_only_graphs_running_nodes_at_once_read_it(self, ledger_env,
+                                                       monkeypatch):
+        from repro.experiments import common
+
+        reads = []
+        monkeypatch.setattr(ledger, "solve_costs",
+                            lambda: reads.append(1) or {})
+        reqs = [RunRequest(sid=sid, solver="cg", scale="test",
+                           platforms=("gpu",)) for sid in (1313, 1288)]
+        common._execute_requests(reqs, 2, "serial")
+        common._execute_requests(reqs, 1, "process")
+        common._execute_requests(reqs[:1], 2, "process")
+        assert reads == []
+        common._execute_requests(reqs, 2, "process")
+        assert reads == [1]
+
+
 class TestServiceLedger:
     def test_engine_batch_appends_one_service_record(self, ledger_env):
         from repro.service import SolveService

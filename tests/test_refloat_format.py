@@ -14,7 +14,6 @@ from repro.formats.refloat import (
     optimal_exponent_base,
     quantize_values,
     quantize_vector,
-    quantize_vector_storage,
     vector_segment_bases,
 )
 
@@ -217,10 +216,3 @@ class TestVectorConverter:
         for s in range(0, 1024, 128):
             seg, segq = x[s:s + 128], xq[s:s + 128]
             assert np.max(np.abs(seg - segq)) <= np.max(np.abs(seg)) * 2.0 ** -14
-
-    def test_storage_codec_flushes_below_window(self):
-        spec = ReFloatSpec(b=2, e=3, f=3, ev=3, fv=4)
-        x = np.array([1.0, 2.0 ** -9, 0.5, 0.25])
-        xq, _ = quantize_vector_storage(x, spec)
-        assert xq[1] == 0.0  # offset < -4 in the storage layout
-        assert xq[0] == 1.0 and xq[2] == 0.5

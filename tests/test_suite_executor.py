@@ -5,9 +5,12 @@ worker processes, so it carries the ``slow`` marker and is deselected from
 the tier-1 invocation (see ``pytest.ini``); CI runs it in a dedicated step.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.api import config as api_config
 from repro.experiments import common
 from repro.experiments.common import (
     asset_cache_stats,
@@ -61,6 +64,61 @@ class TestExecutorSelection:
         assert common._suite_workers(12) == 3
         monkeypatch.setenv("REPRO_SUITE_WORKERS", "1")
         assert common._suite_workers(12) == 1
+
+    def test_worker_count_honours_cpu_affinity(self, monkeypatch):
+        # A process allowed fewer CPUs than the machine has (taskset, a
+        # container's cpuset) gets one worker per allowed CPU.
+        monkeypatch.delenv("REPRO_SUITE_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert api_config.available_cpus() == 1
+        assert common._suite_workers(12) == 1
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 2, 5}, raising=False)
+        assert common._suite_workers(12) == 3
+        assert common._suite_workers(2) == 2
+
+    def test_paper_commands_default_to_the_pool(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SUITE_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_SUITE_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert api_config.paper_config().executor == "process"
+        assert api_config.RunConfig.from_env().executor == "serial"
+        monkeypatch.setenv("REPRO_SUITE_WORKERS", "1")
+        assert api_config.paper_config().executor == "serial"
+        monkeypatch.delenv("REPRO_SUITE_WORKERS")
+        monkeypatch.setenv("REPRO_SUITE_EXECUTOR", "serial")
+        assert api_config.paper_config().executor == "serial"
+        monkeypatch.setenv("REPRO_SUITE_EXECUTOR", "process")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert api_config.paper_config().executor == "process"
+
+    def test_cli_default_runs_inline_on_one_cpu(self, monkeypatch,
+                                                fresh_caches, capsys):
+        from repro.experiments.__main__ import main
+
+        monkeypatch.delenv("REPRO_SUITE_EXECUTOR", raising=False)
+        monkeypatch.delenv("REPRO_SUITE_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+
+        def no_pool(workers):
+            raise AssertionError("a one-CPU default run built a pool")
+
+        monkeypatch.setattr(common, "_process_pool", no_pool)
+        executors = []
+        execute = common._execute_requests
+        monkeypatch.setattr(
+            common, "_execute_requests",
+            lambda requests, workers, executor, **kw: (
+                executors.append(executor)
+                or execute(requests, workers, executor, **kw)))
+        assert main(["table1", "--scale", "test"]) == 0
+        assert executors == ["serial", "serial"]
+        assert "Table I" in capsys.readouterr().out
 
 
 class TestProcessPoolLifecycle:
